@@ -13,15 +13,16 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .plant import PerturbedPlantParams, position_plant
 from .synth import CoeffVector, decode, encode
-from .tf import CompensatorPair, RationalTF, closed_loop
+from .poly import Polynomial
+from .tf import CompensatorPair, RationalTF, loop_denominator
+from .tf import closed_loop  # noqa: F401  (pfcbench/tracer.py patches this name here)
 
 GRID_POINTS = 1000
 GRID_W_MIN = 1e-2
@@ -200,19 +201,37 @@ class McReport:
                 fh.write(f"{t},{z.real:.17g},{z.imag:.17g}\n")
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    # substream keyed by (seed, trial) so trial order, serial or parallel,
-    # cannot change any draw
-    return np.random.default_rng([seed, trial])
+def _mc_study(
+    trial_den: Callable[[np.ndarray], Polynomial],
+    draws: int, trials: int, sigma: float, seed: int,
+) -> McReport:
+    """Seeded trial loop shared by both studies.
 
-
-def _closed_loop_poles(
-    G: RationalTF, C: RationalTF, P: RationalTF
-) -> np.ndarray:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        den = closed_loop(G, C, P).den
-    return den.roots()
+    Each trial maps ``draws`` N(0, sigma) numbers to a perturbed loop
+    denominator; a trial with any root in the open right half plane counts
+    as unstable.
+    """
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if sigma < 0.0:
+        raise ValueError("sigma must be nonnegative")
+    cloud: list[tuple[int, complex]] = []
+    unstable = 0
+    for trial in range(trials):
+        # substream keyed by (seed, trial) so trial order, serial or parallel,
+        # cannot change any draw
+        r = np.random.default_rng([seed, trial]).normal(0.0, sigma, draws)
+        poles = trial_den(r).roots()
+        if np.any(poles.real > 0.0):
+            unstable += 1
+        cloud.extend((trial, complex(z)) for z in poles)
+    return McReport(
+        trials=trials,
+        unstable_count=unstable,
+        pole_cloud=tuple(cloud),
+        seed=seed,
+        sigma=sigma,
+    )
 
 
 def robustness_mc(
@@ -230,28 +249,14 @@ def robustness_mc(
     closed-loop poles under the fixed pair.  A trial with any pole in the
     open right half plane counts as unstable.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if sigma < 0.0:
-        raise ValueError("sigma must be nonnegative")
-    cloud: list[tuple[int, complex]] = []
-    unstable = 0
-    for trial in range(trials):
-        r = _trial_rng(seed, trial).normal(0.0, sigma, 4)
+
+    def trial_den(r: np.ndarray) -> Polynomial:
         params = PerturbedPlantParams(
             A0=1.0 + r[0], A1=1.0 + r[1], A2=1.0 + r[2], A3=1.0 + r[3]
         )
-        poles = _closed_loop_poles(position_plant(params, M), C, P)
-        if np.any(poles.real > 0.0):
-            unstable += 1
-        cloud.extend((trial, complex(z)) for z in poles)
-    return McReport(
-        trials=trials,
-        unstable_count=unstable,
-        pole_cloud=tuple(cloud),
-        seed=seed,
-        sigma=sigma,
-    )
+        return loop_denominator(position_plant(params, M), C, P)
+
+    return _mc_study(trial_den, 4, trials, sigma, seed)
 
 
 def fragility_mc(
@@ -269,10 +274,6 @@ def fragility_mc(
     by (1 + N(0, sigma)) per trial, the structural 1's staying put, and
     counts trials whose closed loop goes unstable.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if sigma < 0.0:
-        raise ValueError("sigma must be nonnegative")
     for t in (C, P):
         if abs(t.den.coeffs[0] - 1.0) > 1e-12:
             raise ValueError(
@@ -281,19 +282,9 @@ def fragility_mc(
             )
     vec = encode(CompensatorPair(C, P))
     q = np.asarray(vec.q)
-    cloud: list[tuple[int, complex]] = []
-    unstable = 0
-    for trial in range(trials):
-        s = _trial_rng(seed, trial).normal(0.0, sigma, q.size)
+
+    def trial_den(s: np.ndarray) -> Polynomial:
         perturbed = decode(CoeffVector(q * (1.0 + s), vec.n))
-        poles = _closed_loop_poles(G, perturbed.C, perturbed.P)
-        if np.any(poles.real > 0.0):
-            unstable += 1
-        cloud.extend((trial, complex(z)) for z in poles)
-    return McReport(
-        trials=trials,
-        unstable_count=unstable,
-        pole_cloud=tuple(cloud),
-        seed=seed,
-        sigma=sigma,
-    )
+        return loop_denominator(G, perturbed.C, perturbed.P)
+
+    return _mc_study(trial_den, q.size, trials, sigma, seed)

@@ -41,7 +41,8 @@ from .plant import angle_plant, position_plant, state_space
 from .poly import Polynomial
 from .sim import NoiseSpec, angle_step_response, noise_time_response, step_response
 from .synth import GaConfig, ObjectiveConfig, ga_search, verify_pair
-from .tf import CompensatorPair, RationalTF, closed_loop, noise_channels, pip_check
+from .tf import CompensatorPair, RationalTF, closed_loop, loop_denominator
+from .tf import noise_channels, pip_check
 
 OUT_ENV = "PFCLAB_OUT"
 
@@ -177,6 +178,14 @@ def _matrix_str(m: np.ndarray) -> str:
     return np.array2string(m, precision=6, suppress_small=True)
 
 
+def _unstable_loop(G: RationalTF, pair: CompensatorPair) -> bool:
+    """True, after reporting it on stderr, when the loop of G under pair is unstable."""
+    if loop_denominator(G, pair.C, pair.P).is_hurwitz():
+        return False
+    print("error: the closed loop is unstable", file=sys.stderr)
+    return True
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -250,6 +259,8 @@ def cmd_synthesize(cfg: RunConfig) -> int:
 def cmd_step(cfg: RunConfig) -> int:
     pair = cfg.require_pair()
     G = cfg.load_plant()
+    if _unstable_loop(G, pair):
+        return 1
     H = closed_loop(G, pair.C, pair.P)
     ts = step_response(H, t_end=cfg.options["t_end"], dt=cfg.options["dt"])
     out = cfg.ensure_out()
@@ -272,6 +283,8 @@ def cmd_angle(cfg: RunConfig) -> int:
     pair = cfg.require_pair()
     F = angle_plant(cfg.mass)
     G = position_plant(M=cfg.mass)
+    if _unstable_loop(G, pair):
+        return 1
     ts = angle_step_response(
         F, G, pair.C, pair.P, t_end=cfg.options["t_end"], dt=cfg.options["dt"]
     )
@@ -300,6 +313,8 @@ def cmd_bode(cfg: RunConfig) -> int:
         tf = G
     else:
         pair = cfg.require_pair()
+        if _unstable_loop(G, pair):
+            return 1
         if source == "h":
             tf = closed_loop(G, pair.C, pair.P)
         else:
@@ -339,12 +354,10 @@ def cmd_noise(cfg: RunConfig) -> int:
         freq_interval=(o["freq_lo"], o["freq_hi"]),
         seed=cfg.seed,
     )
-    t = np.arange(0.0, o["t_end"], o["dt"])
-    try:
-        series = noise_time_response(chans, spec, t)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
+    if _unstable_loop(G, pair):
         return 1
+    t = np.arange(0.0, o["t_end"], o["dt"])
+    series = noise_time_response(chans, spec, t)
     out = cfg.ensure_out()
     path = out / "noise.csv"
     with open(path, "w") as fh:

@@ -102,25 +102,31 @@ def angle_plant(M: float = 0.3) -> RationalTF:
     return RationalTF((1.0,), (1.0 + M, 0.0, -M))
 
 
-def state_space(M: float = 0.3) -> StateSpace:
-    """Linearized model about the upright equilibrium.
+def linear_plant(params: PendulumParams) -> StateSpace:
+    """Small-angle model about the upright equilibrium.
 
-    xddot = (u - theta)/M and thetaddot = ((M+1)*theta - u)/M, written in
-    first-order form with output the cart position.
+    xddot = (u - m*g*theta)/M and thetaddot = ((M+m)*g*theta - u)/(M*L),
+    written in first-order form with output the cart position.
     """
-    if M <= 0.0:
-        raise ValueError("cart mass must be strictly positive")
+    M, L, m, g = params.M, params.L, params.m, params.g
     A = np.array(
         [
             [0.0, 0.0, 1.0, 0.0],
             [0.0, 0.0, 0.0, 1.0],
-            [0.0, -1.0 / M, 0.0, 0.0],
-            [0.0, (M + 1.0) / M, 0.0, 0.0],
+            [0.0, -m * g / M, 0.0, 0.0],
+            [0.0, (M + m) * g / (M * L), 0.0, 0.0],
         ]
     )
-    B = np.array([[0.0], [0.0], [1.0 / M], [-1.0 / M]])
+    B = np.array([[0.0], [0.0], [1.0 / M], [-1.0 / (M * L)]])
     C = np.array([[1.0, 0.0, 0.0, 0.0]])
     return StateSpace(A=A, B=B, C=C)
+
+
+def state_space(M: float = 0.3) -> StateSpace:
+    """:func:`linear_plant` of the nondimensional benchmark with cart mass M."""
+    if M <= 0.0:
+        raise ValueError("cart mass must be strictly positive")
+    return linear_plant(PendulumParams(M=M))
 
 
 # ---------------------------------------------------------------------------

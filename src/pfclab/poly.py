@@ -7,6 +7,7 @@ multiplicity expressed by repetition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -21,13 +22,16 @@ class Polynomial:
     """Immutable real polynomial; the zero polynomial is ``(0.0,)``.
 
     Trailing coefficients are trimmed only when exactly zero: user-supplied
-    coefficients are treated as exact data, never rounded away.
+    coefficients are treated as exact data, never rounded away.  NaN and
+    infinite coefficients are rejected.
     """
 
     coeffs: tuple[float, ...]
 
     def __init__(self, coeffs: Iterable[float]):
         c = [float(x) + 0.0 for x in coeffs]  # +0.0 folds -0.0 into 0.0
+        if not all(map(math.isfinite, c)):
+            raise ValueError("polynomial coefficients must be finite")
         if not c:
             c = [0.0]
         n = len(c)
@@ -48,26 +52,19 @@ class Polynomial:
         conjugate pairs are folded into real quadratic factors so the result
         has exactly real coefficients.
         """
-        remaining = [complex(r) for r in roots]
         p = cls((float(leading),))
         s = cls((0.0, 1.0))
-        while remaining:
-            r = remaining.pop(0)
-            if abs(r.imag) <= tol * (1.0 + abs(r)):
-                p = p * (s - r.real)
-                continue
-            want = r.conjugate()
-            dists = [abs(want - other) for other in remaining]
-            j = int(np.argmin(dists)) if dists else -1
-            if j < 0 or dists[j] > tol * (1.0 + abs(r)):
+        for z, paired in _pair_conjugates([complex(r) for r in roots], tol):
+            if paired:
+                # modulus squared without the hypot round trip, exact for exact inputs
+                p = p * cls((z.real * z.real + z.imag * z.imag, -2.0 * z.real, 1.0))
+            elif z.imag == 0.0:
+                p = p * (s - z.real)
+            else:
                 raise ValueError(
                     "root set is not closed under conjugation; cannot build "
                     "a real polynomial"
                 )
-            partner = remaining.pop(j)
-            rr = 0.5 * (r + partner.conjugate())
-            # modulus squared without the hypot round trip, exact for exact inputs
-            p = p * cls((rr.real * rr.real + rr.imag * rr.imag, -2.0 * rr.real, 1.0))
         return p
 
     # ------------------------------------------------------------------
@@ -86,11 +83,6 @@ class Polynomial:
     @property
     def leading(self) -> float:
         return self.coeffs[-1]
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            raise ValueError("the zero polynomial cannot be made monic")
-        return Polynomial(np.asarray(self.coeffs) / self.leading)
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -147,11 +139,6 @@ class Polynomial:
             acc = acc * s + c
         return acc
 
-    def derivative(self) -> "Polynomial":
-        if self.degree < 1:
-            return Polynomial((0.0,))
-        return Polynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
-
     # ------------------------------------------------------------------
     # roots and stability
     # ------------------------------------------------------------------
@@ -178,15 +165,17 @@ class Polynomial:
             return zeros_at_origin
         c = c / c[-1]
         n = len(c) - 1
-        comp = np.zeros((n, n))
+        comp = np.eye(n, k=-1)
         comp[0, :] = -c[-2::-1]
-        if n > 1:
-            comp[1:, :-1] = np.eye(n - 1)
         raw = np.linalg.eigvals(comp)
-        reduced = Polynomial(c)
-        polished = np.array([_newton_polish(reduced, r) for r in raw])
-        out = np.concatenate([zeros_at_origin, _symmetrize_conjugates(polished)])
-        return np.sort_complex(out)
+        # Highest degree first for Horner; + 0.0 folds -0.0 as Polynomial does.
+        c_hi = [x + 0.0 for x in c[::-1].tolist()]
+        dc_hi = [k * x + 0.0 for k, x in zip(range(n, 0, -1), c_hi)]
+        polished = [_newton_polish(c_hi, dc_hi, r) for r in raw.tolist()]
+        out = zeros_at_origin.tolist()
+        for z, paired in _pair_conjugates(polished, CONJUGATE_TOL):
+            out.extend((z, z.conjugate()) if paired else (z,))
+        return np.sort_complex(np.asarray(out, dtype=complex))
 
     def rightmost_real_part(self) -> float:
         """Largest real part over all roots."""
@@ -228,40 +217,66 @@ def _as_poly(x) -> Polynomial:
     raise TypeError(f"cannot interpret {type(x).__name__} as Polynomial")
 
 
-def _newton_polish(p: Polynomial, r: complex, max_steps: int = 12) -> complex:
+def _newton_polish(c_hi: list, dc_hi: list, r: complex, max_steps: int = 12) -> complex:
     """Newton refinement with an improvement guard.
 
     Simple roots converge in one step; clustered roots improve linearly, so
     a few extra steps are allowed as long as the residual keeps dropping.
+    ``c_hi`` and ``dc_hi`` are the polynomial and its derivative, highest
+    degree first.  Python numbers are used: they round as numpy scalars do
+    (division via `_cdiv`) at a fraction of the cost.
     """
-    dp = p.derivative()
-    fr = abs(p(r))
+    pr = _horner(c_hi, r)
+    fr = abs(pr)
     for _ in range(max_steps):
-        dfr = dp(r)
+        dfr = _horner(dc_hi, r)
         if dfr == 0:
             break
-        cand = r - p(r) / dfr
-        fc = abs(p(cand))
-        if not np.isfinite(fc) or fc >= fr:
+        cand = r - (_cdiv(pr, dfr) if isinstance(dfr, complex) else pr / dfr)
+        pc = _horner(c_hi, cand)
+        fc = abs(pc)
+        if not math.isfinite(fc) or fc >= fr:
             break
-        r, fr = cand, fc
+        r, pr, fr = cand, pc, fc
     return r
 
 
-def _symmetrize_conjugates(roots: np.ndarray, tol: float = CONJUGATE_TOL) -> np.ndarray:
-    """Snap near-real roots to the real axis and average conjugate pairs."""
+def _horner(c_hi: list[float], z):
+    acc = 0.0
+    for c in c_hi:
+        acc = acc * z + c
+    return acc
+
+
+def _cdiv(a: complex, b: complex) -> complex:
+    """a / b by Smith's method, rounding as numpy's complex division does."""
+    if abs(b.real) >= abs(b.imag):
+        rat = b.imag / b.real
+        scl = 1.0 / (b.real + b.imag * rat)
+        return complex((a.real + a.imag * rat) * scl, (a.imag - a.real * rat) * scl)
+    rat = b.real / b.imag
+    scl = 1.0 / (b.imag + b.real * rat)
+    return complex((a.real * rat + a.imag) * scl, (a.imag * rat - a.real) * scl)
+
+
+def _pair_conjugates(roots: Sequence[complex], tol: float) -> list[tuple[complex, bool]]:
+    """In-order nearest-conjugate pairing, one ``(z, paired)`` per group.
+
+    A near-real root comes back snapped to the real axis, a conjugate pair
+    as its average z (the partner being conj(z)), and a non-real root with
+    no partner within ``tol`` as itself, unpaired.
+    """
     rts = list(roots)
-    out: list[complex] = []
     used = [False] * len(rts)
+    out: list[tuple[complex, bool]] = []
     for i, r in enumerate(rts):
         if used[i]:
             continue
-        used[i] = True
         if abs(r.imag) <= tol * (1.0 + abs(r)):
-            out.append(complex(r.real, 0.0))
+            out.append((complex(r.real, 0.0), False))
             continue
         want = r.conjugate()
-        best_j, best_d = -1, np.inf
+        best_j, best_d = -1, math.inf
         for j in range(i + 1, len(rts)):
             if used[j]:
                 continue
@@ -270,8 +285,7 @@ def _symmetrize_conjugates(roots: np.ndarray, tol: float = CONJUGATE_TOL) -> np.
                 best_j, best_d = j, d
         if best_j >= 0 and best_d <= tol * (1.0 + abs(r)):
             used[best_j] = True
-            avg = 0.5 * (r + rts[best_j].conjugate())
-            out.extend([avg, avg.conjugate()])
+            out.append((0.5 * (r + rts[best_j].conjugate()), True))
         else:
-            out.append(r)
-    return np.asarray(out, dtype=complex)
+            out.append((r, False))
+    return out

@@ -9,15 +9,15 @@ the standard four-stage evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .plant import NonlinearState, PendulumParams, nonlinear_derivatives
+from .plant import NonlinearState, PendulumParams, linear_plant, nonlinear_derivatives
 from .poly import Polynomial
 from .tf import NoiseChannelSet, RationalTF, angular_closed_loop
 
-# explicit RK4 stability limit motivates the refinement rule below
+# explicit RK4 stability limit motivates the refinement rule in _sim_grid
 FAST_POLE_PRODUCT_LIMIT = 0.1
 REFINED_DT = 1e-4
 DIVERGENCE_BOUND = 1e6
@@ -111,13 +111,10 @@ def realize(tf: RationalTF) -> Realization:
     q, r = divmod(num, den)
     d = 0.0 if q.is_zero else q.coeffs[0]
 
-    A = np.zeros((n, n))
-    if n > 1:
-        A[:-1, 1:] = np.eye(n - 1)
-    if n > 0:
-        A[-1, :] = [-c for c in den.coeffs[:n]]
+    A = np.eye(n, k=1)
     B = np.zeros((n, 1))
     if n > 0:
+        A[-1, :] = [-c for c in den.coeffs[:n]]
         B[-1, 0] = 1.0
     C = np.zeros((1, n))
     if not r.is_zero:
@@ -136,11 +133,20 @@ def _rk4_maps(A: np.ndarray, B: np.ndarray, h: float):
     return phi, gamma
 
 
-def _refine_dt(dt: float, pole_magnitudes) -> float:
-    mags = np.asarray(pole_magnitudes, dtype=float)
-    if mags.size and float(np.max(mags)) * dt > FAST_POLE_PRODUCT_LIMIT:
-        return REFINED_DT
-    return dt
+def _sim_grid(t_end: float, dt: float, fastest: float):
+    """(time grid, step, step count) for an RK4 run.
+
+    The step drops to REFINED_DT when the fastest pole magnitude times the
+    requested step leaves the RK4 stability region.
+    """
+    if t_end <= 0.0 or dt <= 0.0:
+        raise ValueError("t_end and dt must be positive")
+    if dt >= t_end:
+        raise ValueError("dt must be smaller than t_end")
+    if fastest * dt > FAST_POLE_PRODUCT_LIMIT:
+        dt = REFINED_DT
+    steps = int(round(t_end / dt))
+    return np.arange(steps + 1) * dt, dt, steps
 
 
 # ---------------------------------------------------------------------------
@@ -155,16 +161,9 @@ def step_response(tf: RationalTF, t_end: float = 60.0, dt: float = 1e-3) -> Time
     would leave the RK4 stability region at the requested step, the step is
     refined automatically.
     """
-    if t_end <= 0.0 or dt <= 0.0:
-        raise ValueError("t_end and dt must be positive")
-    if dt >= t_end:
-        raise ValueError("dt must be smaller than t_end")
     rz = realize(tf)
-    if rz.order > 0:
-        dt = _refine_dt(dt, np.abs(np.linalg.eigvals(rz.A)))
-
-    steps = int(round(t_end / dt))
-    t = np.arange(steps + 1) * dt
+    fastest = float(np.max(np.abs(np.linalg.eigvals(rz.A)))) if rz.order else 0.0
+    t, dt, steps = _sim_grid(t_end, dt, fastest)
     y = np.empty(steps + 1)
     if rz.order == 0:
         y[:] = rz.D
@@ -236,31 +235,6 @@ class _LoopPieces:
         return max(mags)
 
 
-def _linear_plant(params: PendulumParams):
-    """Small-angle model about the upright equilibrium, state (x, th, xd, thd)."""
-    M, L, m, g = params.M, params.L, params.m, params.g
-    A = np.array(
-        [
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-            [0.0, -m * g / M, 0.0, 0.0],
-            [0.0, (M + m) * g / (M * L), 0.0, 0.0],
-        ]
-    )
-    B = np.array([[0.0], [0.0], [1.0 / M], [-1.0 / (M * L)]])
-    return A, B
-
-
-def _sim_grid(t_end: float, dt: float, fastest: float):
-    if t_end <= 0.0 or dt <= 0.0:
-        raise ValueError("t_end and dt must be positive")
-    if dt >= t_end:
-        raise ValueError("dt must be smaller than t_end")
-    dt = _refine_dt(dt, [fastest])
-    steps = int(round(t_end / dt))
-    return np.arange(steps + 1) * dt, dt, steps
-
-
 def nonlinear_closed_loop(
     params: PendulumParams,
     C: RationalTF,
@@ -330,7 +304,7 @@ def linear_closed_loop(
     model for small excursions.
     """
     loop = _LoopPieces.build(C, P)
-    Ap, Bp = _linear_plant(params)
+    lp = linear_plant(params)
     nc, np_ = loop.rc.order, loop.rp.order
     n = 4 + nc + np_
 
@@ -347,9 +321,9 @@ def linear_closed_loop(
 
     A = np.zeros((n, n))
     B = np.zeros((n, 1))
-    A[:4, :4] = Ap
-    A[:4, :] += Bp @ row_v[None, :]
-    B[:4, 0] = Bp[:, 0] * r_gain
+    A[:4, :4] = lp.A
+    A[:4, :] += lp.B @ row_v[None, :]
+    B[:4, 0] = lp.B[:, 0] * r_gain
     if nc:
         # C input: y + P_out = y + Cp xp + D_P v
         row_in = np.zeros(n)
@@ -409,11 +383,10 @@ def noise_time_response(
     phase = rng.uniform(0.0, 2.0 * np.pi, size=spec.N)
 
     s = 1j * omega
-    den_vals = channels.common_den(s)
     block = max(1, int(2_000_000 / max(1, t.size)))  # bound the outer-product size
     out = []
-    for num in channels.channels:
-        gain = num(s) / den_vals
+    for ch in channels.channels:
+        gain = ch(s)
         amp = c * np.abs(gain)
         psi = np.angle(gain) + phase
         y = np.zeros_like(t)

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .poly import Polynomial
-from .tf import CompensatorPair, RationalTF, closed_loop
+from .tf import CompensatorPair, RationalTF, loop_denominator
+from .tf import closed_loop  # noqa: F401  (pfcbench/tracer.py patches this name here)
 
 # Score assigned to degenerate candidates (degree collapse anywhere);
 # finite so ranking stays total and the search can move past them.
@@ -150,17 +150,15 @@ def objective(vec: CoeffVector, cfg: ObjectiveConfig) -> float:
     d_C, d_P = pair.C.den, pair.P.den
     if d_C.degree != n or d_P.degree != n:
         return LARGE
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            H = closed_loop(cfg.plant, pair.C, pair.P)
-        except ValueError:
-            return LARGE
-    if H.den.degree != 2 * n + cfg.plant.den.degree:
+    try:
+        den = loop_denominator(cfg.plant, pair.C, pair.P)
+    except ValueError:
+        return LARGE
+    if den.degree != 2 * n + cfg.plant.den.degree:
         return LARGE
     zc = d_C.roots()
     zp = d_P.roots()
-    zh = H.den.roots()
+    zh = den.roots()
     p1 = max(float(zc.real.max()), float(zp.real.max()))
     p2 = float(zh.real.max())
     f0 = p2 + cfg.penalty * p1 if p1 >= 0.0 else p2
@@ -390,18 +388,16 @@ def verify_pair(G: RationalTF, pair: CompensatorPair) -> VerificationReport:
     assembled without cancellation, so a pair that only looks stable after
     cancelling an unstable factor fails here.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        H = closed_loop(G, pair.C, pair.P)
+    den = loop_denominator(G, pair.C, pair.P)
     return VerificationReport(
         c_proper=pair.C.is_proper,
         p_proper=pair.P.is_proper,
         c_stable=pair.C.den.is_hurwitz(),
         p_stable=pair.P.den.is_hurwitz(),
-        closed_loop_stable=H.den.is_hurwitz(),
+        closed_loop_stable=den.is_hurwitz(),
         c_rightmost=_rightmost(pair.C.den),
         p_rightmost=_rightmost(pair.P.den),
-        h_rightmost=_rightmost(H.den),
+        h_rightmost=_rightmost(den),
         c_relative_degree=pair.C.den.degree - pair.C.num.degree,
         p_relative_degree=pair.P.den.degree - pair.P.num.degree,
     )

@@ -5,7 +5,7 @@ acting on the augmented measurement Z = Y + P*v, where P is a parallel
 feedforward branch driven by the control signal v.  With plant G the loop
 transfer from reference to output is
 
-    H = n_G d_C d_P / (d_C d_G d_P + n_C n_P d_G + n_C n_G d_P)
+    H = n_G d_C d_P / loop_denominator(G, C, P)
 
 and every noise channel below shares that denominator.  No pole-zero
 cancellation is ever performed: exact cancellations can hide unobservable
@@ -18,7 +18,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -30,6 +29,12 @@ PIP_TOL = 1e-7
 
 def _as_polynomial(x) -> Polynomial:
     return x if isinstance(x, Polynomial) else Polynomial(x)
+
+
+def _json_entry(d: dict, key: str):
+    if key not in d:
+        raise ValueError(f"JSON object has no {key!r} entry")
+    return d[key]
 
 
 @dataclass(frozen=True)
@@ -101,7 +106,7 @@ class RationalTF:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RationalTF":
-        return cls(d["num"], d["den"])
+        return cls(_json_entry(d, "num"), _json_entry(d, "den"))
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -132,11 +137,13 @@ class CompensatorPair:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CompensatorPair":
-        return cls(
-            C=RationalTF.from_json_dict(d["C"]),
-            P=RationalTF.from_json_dict(d["P"]),
-            label=str(d.get("label", "")),
-        )
+        blocks = {}
+        for key in ("C", "P"):
+            entry = _json_entry(d, key)
+            if not isinstance(entry, dict):
+                raise ValueError(f"JSON entry {key!r} must be an object")
+            blocks[key] = RationalTF.from_json_dict(entry)
+        return cls(label=str(d.get("label", "")), **blocks)
 
 
 @dataclass(frozen=True)
@@ -161,6 +168,18 @@ class StabilizabilityVerdict:
 # ---------------------------------------------------------------------------
 
 
+def loop_denominator(G: RationalTF, C: RationalTF, P: RationalTF) -> Polynomial:
+    """Loop denominator d_C d_G d_P + n_C n_P d_G + n_C n_G d_P.
+
+    Exact and returned as computed, even when leading coefficients cancel;
+    never warns.  Raises ValueError when it vanishes identically.
+    """
+    den = C.den * G.den * P.den + C.num * P.num * G.den + C.num * G.num * P.den
+    if den.is_zero:
+        raise ValueError("degenerate loop: closed-loop denominator vanished")
+    return den
+
+
 def closed_loop(G: RationalTF, C: RationalTF, P: RationalTF) -> RationalTF:
     """Reference-to-output transfer of the two-compensator loop.
 
@@ -169,9 +188,7 @@ def closed_loop(G: RationalTF, C: RationalTF, P: RationalTF) -> RationalTF:
     but the result is returned as computed.
     """
     num = G.num * C.den * P.den
-    den = C.den * G.den * P.den + C.num * P.num * G.den + C.num * G.num * P.den
-    if den.is_zero:
-        raise ValueError("degenerate loop: closed-loop denominator vanished")
+    den = loop_denominator(G, C, P)
     expected = C.den.degree + G.den.degree + P.den.degree
     if den.degree < expected:
         warnings.warn(
@@ -199,10 +216,7 @@ def angular_closed_loop(
             "times the angle denominator"
         )
     num = -1.0 * (F.num * C.den * P.den * Polynomial((0.0, 0.0, 1.0)))
-    den = C.den * G.den * P.den + C.num * P.num * G.den + C.num * G.num * P.den
-    if den.is_zero:
-        raise ValueError("degenerate loop: closed-loop denominator vanished")
-    return RationalTF(num, den)
+    return RationalTF(num, loop_denominator(G, C, P))
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +277,7 @@ class NoiseChannelSet:
 
 def noise_channels(G: RationalTF, C: RationalTF, P: RationalTF) -> NoiseChannelSet:
     """Six additive-noise transfer functions over the common loop denominator."""
-    den = C.den * G.den * P.den + C.num * P.num * G.den + C.num * G.num * P.den
-    if den.is_zero:
-        raise ValueError("degenerate loop: closed-loop denominator vanished")
+    den = loop_denominator(G, C, P)
     inner = C.den * P.den + C.num * P.num  # 1 + C*P cleared of fractions
     e1 = G.num * C.den * P.den
     e2 = G.num * inner

@@ -94,6 +94,24 @@ class TestVerify:
         assert rc == 2
         assert "unknown plant" in err
 
+    def test_missing_json_key(self, capsys, tmp_path):
+        pair = tmp_path / "no_p.json"
+        pair.write_text(json.dumps({"C": {"num": [1.0], "den": [1.0]}}))
+        rc, _, err = run(capsys, "verify", "--pair-file", str(pair))
+        assert rc == 2
+        assert "'P'" in err
+        pair.write_text(json.dumps({"C": [1.0], "P": {"num": [1.0], "den": [1.0]}}))
+        rc, _, err = run(capsys, "verify", "--pair-file", str(pair))
+        assert rc == 2
+        assert "'C'" in err
+        plant = tmp_path / "no_den.json"
+        plant.write_text(json.dumps({"num": [1.0]}))
+        rc, _, err = run(
+            capsys, "verify", "--plant", f"file:{plant}", "--pair", "none"
+        )
+        assert rc == 2
+        assert "'den'" in err
+
 
 # ---------------------------------------------------------------------------
 # synthesize
@@ -195,6 +213,18 @@ class TestStep:
         m2.pop("timestamp")
         assert m1 == m2
 
+    def test_unstable_loop_writes_nothing(self, capsys, tmp_path):
+        # pair b is designed for the position plant; on the angle plant
+        # its loop diverges
+        rc, _, err = run(
+            capsys,
+            "step", "--pair", "b", "--plant", "pendulum-angle",
+            "--out", str(tmp_path / "out"),
+        )
+        assert rc == 1
+        assert "unstable" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestAngle:
     def test_angle_decays(self, capsys, tmp_path):
@@ -258,11 +288,14 @@ class TestNoise:
         broken = write_pair_file(
             tmp_path / "broken.json", [1.0], [-1.0, 1.0], [0.0], [1.0]
         )
-        rc, _, err = run(
-            capsys, "noise", "--pair-file", broken, "--out", str(tmp_path)
-        )
-        assert rc == 1
-        assert "unstable" in err
+        for argv in (["noise"], ["angle"], ["bode", "--channel", "h"]):
+            out = tmp_path / argv[0]
+            rc, _, err = run(
+                capsys, *argv, "--pair-file", broken, "--out", str(out)
+            )
+            assert rc == 1
+            assert "unstable" in err
+            assert not out.exists()  # no CSV, no metadata
 
 
 # ---------------------------------------------------------------------------

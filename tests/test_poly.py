@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -99,6 +101,11 @@ def test_divmod_roundtrip():
     back = q * d + r
     np.testing.assert_allclose(back.coeffs, p.coeffs, atol=1e-14)
     assert r.degree < d.degree
+
+
+def test_nonfinite_coefficients_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        Polynomial([math.nan, 1.0])
 
 
 def test_divmod_by_zero():
@@ -284,6 +291,19 @@ def test_roots_triple_root_polish():
     # the polish must keep the cluster centered with no wild outliers
     r = Polynomial.from_roots([-1.0, -1.0, -1.0]).roots()
     np.testing.assert_allclose(r, [-1.0] * 3, atol=1e-5)
+
+
+def test_newton_division_rounds_as_numpy_complex_division():
+    # roots() polishes on Python complex numbers; its division must keep the
+    # bits numpy's complex128 division gives, which CPython's "/" does not.
+    from pfclab.poly import _cdiv
+
+    rng = np.random.default_rng(5)
+    parts = rng.standard_normal((4, 20000)) * 10.0 ** rng.integers(-8, 9, (4, 20000))
+    a = (parts[0] + 1j * parts[1]).tolist()
+    b = (parts[2] + 1j * parts[3]).tolist()
+    for x, y in zip(a, b):
+        assert _cdiv(x, y) == complex(np.complex128(x) / np.complex128(y))
 
 
 def test_from_roots_rejects_unpaired_complex():

@@ -1,5 +1,7 @@
 """Coefficient-vector search layer: encoding, objective, GA, verification."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -186,6 +188,14 @@ class TestObjective:
         # leading denominator gene exactly zero: C = 1/1, degree drop
         v = CoeffVector((1, 0, 0, 1, 0, 1), n=1)
         assert objective(v, ObjectiveConfig(plant=EASY)) == LARGE
+        # C = (1+s)/(1+s), P = (1-s)/(1+s): the loop's s^3 terms cancel,
+        # leaving (1+s)(3s-1); scored and audited without a warning
+        v = CoeffVector((1, 1, 1, 1, -1, 1), n=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert objective(v, ObjectiveConfig(plant=EASY)) == LARGE
+            rep = verify_pair(EASY, decode(v))
+        assert not rep.passed and not rep.closed_loop_stable
 
     def test_continuous_across_penalty_switch(self):
         # compensator pole pair at (+/-)delta + i: crossing p1 = 0 changes

@@ -12,6 +12,7 @@ from pfclab.tf import (
     closed_loop,
     constant,
     feedback,
+    loop_denominator,
     noise_channels,
     parallel,
     pip_check,
@@ -47,6 +48,11 @@ ONE_TF = constant(1.0)
 def test_zero_denominator_rejected():
     with pytest.raises(ValueError):
         RationalTF([1.0], [0.0])
+
+
+def test_nonfinite_coefficients_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        RationalTF([1.0], [math.inf, 1.0])
 
 
 def test_properness_queries():
@@ -108,6 +114,9 @@ def test_closed_loop_leading_cancellation_warns():
     with pytest.warns(UserWarning, match="degree dropped"):
         H = closed_loop(g, c, ZERO_TF)
     assert H.den.degree == 0  # (s+1) - s = 1, reported not trimmed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert loop_denominator(g, c, ZERO_TF).coeffs == H.den.coeffs
 
 
 # ---------------------------------------------------------------------------
