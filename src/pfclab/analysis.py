@@ -20,7 +20,7 @@ import numpy as np
 
 from .plant import PerturbedPlantParams, position_plant
 from .synth import CoeffVector, decode, encode
-from .poly import Polynomial
+from .poly import Polynomial, roots_batch
 from .tf import CompensatorPair, RationalTF, loop_denominator
 from .tf import closed_loop  # noqa: F401  (pfcbench/tracer.py patches this name here)
 
@@ -215,13 +215,15 @@ def _mc_study(
         raise ValueError("need at least one trial")
     if sigma < 0.0:
         raise ValueError("sigma must be nonnegative")
+    # substream keyed by (seed, trial) so trial order, serial or parallel,
+    # cannot change any draw
+    dens = [
+        trial_den(np.random.default_rng([seed, trial]).normal(0.0, sigma, draws))
+        for trial in range(trials)
+    ]
     cloud: list[tuple[int, complex]] = []
     unstable = 0
-    for trial in range(trials):
-        # substream keyed by (seed, trial) so trial order, serial or parallel,
-        # cannot change any draw
-        r = np.random.default_rng([seed, trial]).normal(0.0, sigma, draws)
-        poles = trial_den(r).roots()
+    for trial, poles in enumerate(roots_batch(dens)):
         if np.any(poles.real > 0.0):
             unstable += 1
         cloud.extend((trial, complex(z)) for z in poles)

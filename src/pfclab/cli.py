@@ -202,7 +202,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     print(f"plant {cfg.plant}: {word}")
     for z, count in verdict.checks:
         where = "infinity" if z == float("inf") else f"{z:g}"
-        print(f"  real RHP zero at {where}: {count} real RHP pole(s) to its right")
+        print(f"  real RHP zero at {where}: {count} real RHP pole(s) before the next zero")
     pair = cfg.load_pair()
     if pair is None:
         return 0

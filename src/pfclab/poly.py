@@ -16,6 +16,10 @@ import numpy as np
 # Tolerance for pairing a root with its conjugate during symmetrization.
 CONJUGATE_TOL = 1e-6
 
+# Rows per Newton block in `roots_batch`: a block's temporaries stay near a
+# megabyte at degree 10, whatever the batch size.
+NEWTON_ROWS = 256
+
 
 @dataclass(frozen=True)
 class Polynomial:
@@ -146,36 +150,11 @@ class Polynomial:
     def roots(self) -> np.ndarray:
         """All complex roots, with multiplicity, sorted by (real, imag).
 
-        Exact zero roots (vanishing low-order coefficients) are split off
-        first, so a plant with a double pole at the origin reports it as
-        exactly 0.  The rest come from balanced companion-matrix eigenvalues
-        polished by Newton steps and conjugate-symmetrized.
+        The one-row case of `roots_batch`: exact zero roots are split off
+        first, so a plant with a double pole at the origin reports them as
+        exactly 0, and the rest are polished companion-matrix eigenvalues.
         """
-        if self.is_zero:
-            raise ValueError("undefined roots: the zero polynomial")
-        if self.degree == 0:
-            raise ValueError("a nonzero constant has no roots")
-        c = np.asarray(self.coeffs, dtype=float)
-        n_zero = 0
-        while c[n_zero] == 0.0:
-            n_zero += 1
-        zeros_at_origin = np.zeros(n_zero, dtype=complex)
-        c = c[n_zero:]
-        if len(c) == 1:
-            return zeros_at_origin
-        c = c / c[-1]
-        n = len(c) - 1
-        comp = np.eye(n, k=-1)
-        comp[0, :] = -c[-2::-1]
-        raw = np.linalg.eigvals(comp)
-        # Highest degree first for Horner; + 0.0 folds -0.0 as Polynomial does.
-        c_hi = [x + 0.0 for x in c[::-1].tolist()]
-        dc_hi = [k * x + 0.0 for k, x in zip(range(n, 0, -1), c_hi)]
-        polished = [_newton_polish(c_hi, dc_hi, r) for r in raw.tolist()]
-        out = zeros_at_origin.tolist()
-        for z, paired in _pair_conjugates(polished, CONJUGATE_TOL):
-            out.extend((z, z.conjugate()) if paired else (z,))
-        return np.sort_complex(np.asarray(out, dtype=complex))
+        return roots_batch([self])[0]
 
     def rightmost_real_part(self) -> float:
         """Largest real part over all roots."""
@@ -217,46 +196,115 @@ def _as_poly(x) -> Polynomial:
     raise TypeError(f"cannot interpret {type(x).__name__} as Polynomial")
 
 
-def _newton_polish(c_hi: list, dc_hi: list, r: complex, max_steps: int = 12) -> complex:
-    """Newton refinement with an improvement guard.
+def roots_batch(polys: Sequence[Polynomial]) -> list[np.ndarray]:
+    """Roots of each polynomial, as `Polynomial.roots` documents them.
 
-    Simple roots converge in one step; clustered roots improve linearly, so
-    a few extra steps are allowed as long as the residual keeps dropping.
-    ``c_hi`` and ``dc_hi`` are the polynomial and its derivative, highest
-    degree first.  Python numbers are used: they round as numpy scalars do
-    (division via `_cdiv`) at a fraction of the cost.
+    Exact zeros at the origin are split off row by row.  The remaining
+    factors are grouped by degree; each group takes one eigenvalue call on
+    its stack of companion matrices and an array Newton pass, and a row's
+    roots do not depend on the other rows in the batch.
     """
-    pr = _horner(c_hi, r)
-    fr = abs(pr)
-    for _ in range(max_steps):
-        dfr = _horner(dc_hi, r)
-        if dfr == 0:
-            break
-        cand = r - (_cdiv(pr, dfr) if isinstance(dfr, complex) else pr / dfr)
-        pc = _horner(c_hi, cand)
-        fc = abs(pc)
-        if not math.isfinite(fc) or fc >= fr:
-            break
-        r, pr, fr = cand, pc, fc
-    return r
+    out: list = [None] * len(polys)
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for i, p in enumerate(polys):
+        if p.is_zero:
+            raise ValueError("undefined roots: the zero polynomial")
+        if p.degree == 0:
+            raise ValueError("a nonzero constant has no roots")
+        n_zero = 0
+        while p.coeffs[n_zero] == 0.0:
+            n_zero += 1
+        groups.setdefault(p.degree - n_zero, []).append((i, n_zero))
+    for n, rows in groups.items():
+        if n == 0:
+            for i, n_zero in rows:
+                out[i] = np.zeros(n_zero, dtype=complex)
+            continue
+        c = np.array([polys[i].coeffs[n_zero:] for i, n_zero in rows])
+        c = c / c[:, -1:]
+        raw = np.linalg.eigvals(_companions(c))
+        # polished in blocks of rows, which bounds the temporaries
+        z = np.concatenate([
+            _newton(c[k : k + NEWTON_ROWS], raw[k : k + NEWTON_ROWS])
+            for k in range(0, len(c), NEWTON_ROWS)
+        ])
+        for (i, n_zero), row in zip(rows, z):
+            found = [0j] * n_zero
+            for r, paired in _pair_conjugates(row.tolist(), CONJUGATE_TOL):
+                found.extend((r, r.conjugate()) if paired else (r,))
+            out[i] = np.sort_complex(np.asarray(found, dtype=complex))
+    return out
 
 
-def _horner(c_hi: list[float], z):
-    acc = 0.0
-    for c in c_hi:
-        acc = acc * z + c
-    return acc
+def _newton(c: np.ndarray, raw: np.ndarray, max_steps: int = 12) -> np.ndarray:
+    """Newton refinement of each row's eigenvalues ``raw`` with an improvement guard.
+
+    Each root takes Newton steps while its residual keeps dropping, at most
+    ``max_steps``: simple roots converge in one step, clustered roots
+    improve linearly.  The arithmetic is the scalar complex arithmetic of
+    CPython spelled out on real and imaginary float64 arrays, so a row gets
+    the same bits alone or in any batch.  A row whose eigenvalues are all
+    real stays in real arithmetic, as a single eigenvalue call returns them.
+    """
+    n = c.shape[1] - 1
+    real = np.all(raw.imag == 0.0, axis=1)[:, None]
+    # highest degree first for Horner; + 0.0 folds -0.0 as Polynomial does
+    c_hi = c[:, ::-1] + 0.0
+    dc_hi = np.arange(n, 0, -1) * c_hi[:, :n] + 0.0
+    zr = raw.real.copy()
+    zi = np.where(real, 0.0, raw.imag)
+    # every root is stepped every round and only live ones keep the result,
+    # so discarded lanes may divide by zero or overflow without consequence
+    with np.errstate(all="ignore"):
+        pr, pi = _horner(c_hi, zr, zi)
+        fr = np.hypot(pr, pi)
+        live = np.ones(zr.shape, dtype=bool)
+        for _ in range(max_steps):
+            dr, di = _horner(dc_hi, zr, zi)
+            live &= (dr != 0.0) | (di != 0.0)
+            qr, qi = _cdiv(pr, pi, dr, di)
+            # real rows divide in real arithmetic, as Python floats would
+            cr = zr - np.where(real, pr / dr, qr)
+            ci = zi - np.where(real, 0.0, qi)
+            pcr, pci = _horner(c_hi, cr, ci)
+            fc = np.hypot(pcr, pci)
+            live &= np.isfinite(fc) & ~(fc >= fr)
+            if not live.any():
+                break
+            zr, zi = np.where(live, cr, zr), np.where(live, ci, zi)
+            pr, pi = np.where(live, pcr, pr), np.where(live, pci, pi)
+            fr = np.where(live, fc, fr)
+    z = np.empty(zr.shape, dtype=complex)
+    z.real, z.imag = zr, zi
+    return z
 
 
-def _cdiv(a: complex, b: complex) -> complex:
-    """a / b by Smith's method, rounding as numpy's complex division does."""
-    if abs(b.real) >= abs(b.imag):
-        rat = b.imag / b.real
-        scl = 1.0 / (b.real + b.imag * rat)
-        return complex((a.real + a.imag * rat) * scl, (a.imag - a.real * rat) * scl)
-    rat = b.real / b.imag
-    scl = 1.0 / (b.imag + b.real * rat)
-    return complex((a.real * rat + a.imag) * scl, (a.imag * rat - a.real) * scl)
+def _companions(c: np.ndarray) -> np.ndarray:
+    """Stack of companion matrices of monic rows ``c`` (ascending)."""
+    b, m = c.shape
+    comp = np.zeros((b, m - 1, m - 1))
+    comp[:, 0, :] = -c[:, -2::-1]
+    comp[:, np.arange(1, m - 1), np.arange(m - 2)] = 1.0
+    return comp
+
+
+def _horner(c_hi: np.ndarray, zr: np.ndarray, zi: np.ndarray):
+    """Row k's polynomial at each zr[k] + i*zi[k], rounded as CPython's complex Horner."""
+    ar = np.zeros_like(zr)
+    ai = np.zeros_like(zr)
+    for c in c_hi.T[:, :, None]:
+        ar, ai = ar * zr - ai * zi + c, ar * zi + ai * zr + 0.0
+    return ar, ai
+
+
+def _cdiv(ar, ai, br, bi):
+    """(ar + i*ai) / (br + i*bi) by Smith's method, rounding as numpy's complex division."""
+    big = np.abs(br) >= np.abs(bi)
+    rat = np.where(big, bi / br, br / bi)
+    scl = 1.0 / np.where(big, br + bi * rat, bi + br * rat)
+    qr = np.where(big, ar + ai * rat, ar * rat + ai) * scl
+    qi = np.where(big, ai - ar * rat, ai * rat - ar) * scl
+    return qr, qi
 
 
 def _pair_conjugates(roots: Sequence[complex], tol: float) -> list[tuple[complex, bool]]:

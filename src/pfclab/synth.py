@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .poly import Polynomial
+from .poly import Polynomial, roots_batch
 from .tf import CompensatorPair, RationalTF, loop_denominator
 from .tf import closed_loop  # noqa: F401  (pfcbench/tracer.py patches this name here)
 
@@ -143,31 +143,47 @@ def objective(vec: CoeffVector, cfg: ObjectiveConfig) -> float:
         F = f0 + eps1*||q||_2 + eps2*max|z_H|.
 
     Candidates whose compensator or closed-loop denominator degree
-    collapses score LARGE instead of raising.
+    collapses score LARGE instead of raising.  The one-row case of
+    `objective_batch`.
     """
-    pair = decode(vec)
-    n = vec.n
-    d_C, d_P = pair.C.den, pair.P.den
-    if d_C.degree != n or d_P.degree != n:
-        return LARGE
-    try:
-        den = loop_denominator(cfg.plant, pair.C, pair.P)
-    except ValueError:
-        return LARGE
-    if den.degree != 2 * n + cfg.plant.den.degree:
-        return LARGE
-    zc = d_C.roots()
-    zp = d_P.roots()
-    zh = den.roots()
-    p1 = max(float(zc.real.max()), float(zp.real.max()))
-    p2 = float(zh.real.max())
-    f0 = p2 + cfg.penalty * p1 if p1 >= 0.0 else p2
-    q = np.asarray(vec.q)
-    return float(
-        f0
-        + cfg.eps1 * np.linalg.norm(q)
-        + cfg.eps2 * float(np.abs(zh).max())
-    )
+    return float(objective_batch([vec.q], vec.n, cfg)[0])
+
+
+def objective_batch(rows, n: int, cfg: ObjectiveConfig) -> np.ndarray:
+    """`objective` of each order-n coefficient row, with one root batch.
+
+    Rows are decoded and their loop denominators assembled one by one; the
+    roots of every candidate's C, P and loop denominators come from a
+    single `roots_batch` call.
+    """
+    rows = np.ascontiguousarray(rows, dtype=float)
+    F = np.full(len(rows), LARGE)
+    scored: list[int] = []
+    polys: list[Polynomial] = []
+    for i, row in enumerate(rows):
+        pair = decode(CoeffVector(row, n))
+        d_C, d_P = pair.C.den, pair.P.den
+        if d_C.degree != n or d_P.degree != n:
+            continue
+        try:
+            den = loop_denominator(cfg.plant, pair.C, pair.P)
+        except ValueError:
+            continue
+        if den.degree != 2 * n + cfg.plant.den.degree:
+            continue
+        scored.append(i)
+        polys += (d_C, d_P, den)
+    roots = roots_batch(polys)
+    for i, zc, zp, zh in zip(scored, roots[0::3], roots[1::3], roots[2::3]):
+        p1 = max(float(zc.real.max()), float(zp.real.max()))
+        p2 = float(zh.real.max())
+        f0 = p2 + cfg.penalty * p1 if p1 >= 0.0 else p2
+        F[i] = (
+            f0
+            + cfg.eps1 * np.linalg.norm(rows[i])
+            + cfg.eps2 * float(np.abs(zh).max())
+        )
+    return F
 
 
 @dataclass(frozen=True)
@@ -274,11 +290,8 @@ def ga_search(
     rng = np.random.default_rng(ga_cfg.seed)
     lo0, hi0 = ga_cfg.init_range
 
-    def score(row: np.ndarray) -> float:
-        return objective(CoeffVector(row, n), obj_cfg)
-
     pop = rng.uniform(lo0, hi0, (ga_cfg.population, dim))
-    fit = np.array([score(ind) for ind in pop])
+    fit = objective_batch(pop, n, obj_cfg)
     best_i = int(fit.argmin())
     best_q = pop[best_i].copy()
     best_F = float(fit[best_i])
@@ -313,7 +326,7 @@ def ga_search(
                 new.append(child)
         # two children per mating can overshoot an odd slot count
         pop = np.array(new[: ga_cfg.population])
-        fit = np.array([score(ind) for ind in pop])
+        fit = objective_batch(pop, n, obj_cfg)
         i = int(fit.argmin())
         if fit[i] < best_F:
             best_F = float(fit[i])

@@ -106,7 +106,13 @@ class RationalTF:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RationalTF":
-        return cls(_json_entry(d, "num"), _json_entry(d, "den"))
+        coeffs = {}
+        for key in ("num", "den"):
+            entry = _json_entry(d, key)
+            if not isinstance(entry, list):
+                raise ValueError(f"JSON entry {key!r} must be a list of coefficients")
+            coeffs[key] = entry
+        return cls(**coeffs)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -150,9 +156,12 @@ class CompensatorPair:
 class StabilizabilityVerdict:
     """Outcome of the parity test for stabilizability by stable compensators.
 
-    ``checks`` holds one (real RHP zero, count of real RHP poles to its
-    right) pair per examined zero; ``math.inf`` stands for the zero at
-    infinity when it participates.  Any odd count blocks stabilization.
+    ``checks`` holds one (real closed-RHP zero, count of real closed-RHP
+    poles between it and the next such zero) pair per zero, in increasing
+    order; ``math.inf`` stands for the zero at infinity of a strictly
+    proper plant, and the last zero counts 0.  It is empty when fewer than
+    two zeros leave nothing to interlace.  Any odd count blocks
+    stabilization.
     """
 
     strongly_stabilizable: bool
@@ -225,32 +234,35 @@ def angular_closed_loop(
 
 
 def pip_check(G: RationalTF, tol: float = PIP_TOL) -> StabilizabilityVerdict:
-    """Parity test: can any *stable* compensator stabilize G?
+    """Parity interlacing test: can any *stable* compensator stabilize G?
 
-    For each real right-half-plane zero of G, count the real RHP poles
-    strictly to its right (with multiplicity).  The zero at infinity of a
-    strictly proper plant joins the zero list, but only when at least one
-    finite real RHP zero exists; a plant whose only RHP feature is poles is
-    stabilizable by a stable compensator, and this convention reproduces
-    that.  Odd count anywhere means not strongly stabilizable.
+    G is strongly stabilizable iff between every two consecutive real zeros
+    in the closed right half plane, counting the zero at infinity when G is
+    strictly proper, lies an even number of real poles, with multiplicity
+    (Youla, Bongiorno & Lu, Automatica 1974).  Zeros and poles at the
+    origin belong to the closed right half plane.  Nothing is cancelled.
     """
     if G.is_zero:
         raise ValueError("stabilizability undefined for the zero plant")
 
-    def real_rhp(arr: np.ndarray) -> list[float]:
+    def real_closed_rhp(arr: np.ndarray) -> list[float]:
         keep = [
             float(r.real)
             for r in arr
-            if r.real > tol and abs(r.imag) <= tol * (1.0 + abs(r))
+            if r.real > -tol and abs(r.imag) <= tol * (1.0 + abs(r))
         ]
         return sorted(keep)
 
-    zeros = real_rhp(G.zeros())
-    poles = real_rhp(G.poles())
-    zero_list: list[float] = list(zeros)
-    if G.is_strictly_proper and zeros:
-        zero_list.append(math.inf)
-    checks = tuple((z, sum(1 for p in poles if p > z)) for z in zero_list)
+    zeros = real_closed_rhp(G.zeros())
+    if G.is_strictly_proper:
+        zeros.append(math.inf)
+    poles = real_closed_rhp(G.poles())
+    checks: tuple[tuple[float, int], ...] = ()
+    if len(zeros) >= 2:
+        checks = tuple(
+            (z, sum(1 for p in poles if z < p < z_next))
+            for z, z_next in zip(zeros, zeros[1:])
+        ) + ((zeros[-1], 0),)
     ok = all(c % 2 == 0 for _, c in checks)
     return StabilizabilityVerdict(strongly_stabilizable=ok, checks=checks)
 

@@ -1,7 +1,11 @@
 """Shared strategies and comparison helpers for the test suite."""
 
+import hashlib
+
 import numpy as np
 from hypothesis import strategies as st
+
+from pfclab.poly import Polynomial
 
 def stable_root(re_max=-0.05):
     """Strategy for one left-half-plane root (real, or upper-half complex).
@@ -45,3 +49,54 @@ def match_error(got, want):
         j = int(np.argmin([abs(w - g) for g in pool]))
         worst = max(worst, abs(w - pool.pop(j)))
     return worst
+
+
+def digest_polynomials():
+    """Fixed polynomial set whose roots are pinned by SHA-256.
+
+    Random loop denominators of the pendulum plant for n = 1..3, clustered,
+    repeated real and complex, integer, zero-at-origin and badly scaled
+    polynomials, built with exact `Polynomial` arithmetic only.
+    """
+    rng = np.random.default_rng(20261019)
+    nG, dG = Polynomial((-1.0, 0.0, 1.0)), Polynomial((0.0, 0.0, -1.3, 0.0, 0.3))
+    polys = []
+    for k in range(240):
+        n = 1 + k % 3
+        nC, nP = (Polynomial(rng.uniform(-12.0, 12.0, n + 1)) for _ in "CP")
+        dC, dP = (Polynomial((1.0, *rng.uniform(-12.0, 12.0, n))) for _ in "CP")
+        polys += [dC, dP, dC * dG * dP + nC * nP * dG + nC * nG * dP]
+    for k in range(240):
+        kind = k % 6
+        if kind == 0:
+            c = rng.uniform(-3.0, 1.0)
+            p = Polynomial.from_roots(list(c + 1e-4 * rng.standard_normal(int(rng.integers(2, 5)))))
+        elif kind == 1:
+            a, b = rng.uniform(-2.0, 1.0), rng.uniform(0.1, 3.0)
+            pair = [complex(a, b), complex(a, -b)] * int(rng.integers(1, 4))
+            p = Polynomial.from_roots(pair + [rng.uniform(-3.0, 3.0)])
+        elif kind == 2:
+            c = rng.integers(-9, 10, int(rng.integers(2, 12))).astype(float)
+            c[-1] = c[-1] or 1.0
+            p = Polynomial(c)
+        elif kind == 3:
+            zeros = [0.0] * int(rng.integers(1, 4))
+            p = Polynomial(zeros + list(rng.standard_normal(int(rng.integers(2, 9)))))
+        elif kind == 4:
+            r = float(rng.integers(-3, 3))
+            p = Polynomial.from_roots([r] * int(rng.integers(2, 5)) + [float(rng.integers(-5, 5))])
+        else:
+            d = int(rng.integers(3, 10))
+            p = Polynomial(rng.standard_normal(d) * 10.0 ** rng.integers(-4, 5, d))
+        polys.append(p)
+    return polys
+
+
+def array_digest(arrays):
+    """SHA-256 over each array's length and its complex128 bytes."""
+    h = hashlib.sha256()
+    for r in arrays:
+        r = np.asarray(r, dtype=complex)
+        h.update(np.int64(r.size).tobytes())
+        h.update(r.tobytes())
+    return h.hexdigest()

@@ -18,6 +18,7 @@ from pfclab.designs import ANGLE_DEMO_COMPENSATOR, PAIR_A, PAIR_B
 from pfclab.plant import angle_plant, position_plant
 from pfclab.tf import CompensatorPair, RationalTF, noise_channels
 
+from helpers import array_digest
 from oracles import resonance_peak_second_order
 
 G_PEND = position_plant()
@@ -165,6 +166,26 @@ class TestNoiseChannelPeaks:
 # ---------------------------------------------------------------------------
 # Monte Carlo studies
 # ---------------------------------------------------------------------------
+
+
+# SHA-256 of pair b's trial tags and poles at the defaults (1000 trials,
+# sigma 0.02, seed 0), recorded with one root call per trial, before the
+# trials shared one batch (Python 3.11.7, numpy 2.4.6)
+CLOUD_B_SHA256 = {
+    "robustness": "9e4a028e23e177b224b1f4fbc577e701392007e2071a9d6efc804c66e04b364a",
+    "fragility": "3b7a724df5e244e1f57309e4416a35c4fbc329bdfad72ea37bd2fb62a1cc793e",
+}
+
+
+def test_pair_b_pole_clouds_pinned():
+    reports = {
+        "robustness": robustness_mc(PAIR_B.C, PAIR_B.P),
+        "fragility": fragility_mc(G_PEND, PAIR_B.C, PAIR_B.P),
+    }
+    for study, rep in reports.items():
+        cloud = rep.pole_cloud
+        digest = array_digest([[t for t, _ in cloud], [z for _, z in cloud]])
+        assert digest == CLOUD_B_SHA256[study], study
 
 
 class TestRobustnessMc:

@@ -111,6 +111,12 @@ class TestVerify:
         )
         assert rc == 2
         assert "'den'" in err
+        plant.write_text(json.dumps({"num": 1.0, "den": [1.0, 1.0]}))
+        rc, _, err = run(
+            capsys, "verify", "--plant", f"file:{plant}", "--pair", "none"
+        )
+        assert rc == 2
+        assert "'num'" in err
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from pfclab.poly import Polynomial
+from pfclab.poly import Polynomial, roots_batch
 
-from helpers import expand_conjugates, match_error, separated, stable_root
+from helpers import (
+    array_digest,
+    digest_polynomials,
+    expand_conjugates,
+    match_error,
+    separated,
+    stable_root,
+)
 from oracles import naive_convolve, routh_is_stable, critical_gain_cubic
 
 S = Polynomial((0.0, 1.0))
@@ -294,16 +301,20 @@ def test_roots_triple_root_polish():
 
 
 def test_newton_division_rounds_as_numpy_complex_division():
-    # roots() polishes on Python complex numbers; its division must keep the
-    # bits numpy's complex128 division gives, which CPython's "/" does not.
+    # roots() polishes on separate real and imaginary float64 arrays; its
+    # division must keep the bits numpy's complex128 division gives
     from pfclab.poly import _cdiv
 
     rng = np.random.default_rng(5)
     parts = rng.standard_normal((4, 20000)) * 10.0 ** rng.integers(-8, 9, (4, 20000))
-    a = (parts[0] + 1j * parts[1]).tolist()
-    b = (parts[2] + 1j * parts[3]).tolist()
-    for x, y in zip(a, b):
-        assert _cdiv(x, y) == complex(np.complex128(x) / np.complex128(y))
+    qr, qi = _cdiv(*parts)
+    want = (parts[0] + 1j * parts[1]) / (parts[2] + 1j * parts[3])
+    assert qr.tobytes() == want.real.tobytes()
+    assert qi.tobytes() == want.imag.tobytes()
+    for k in range(0, 20000, 97):
+        x = np.complex128(complex(parts[0, k], parts[1, k]))
+        y = np.complex128(complex(parts[2, k], parts[3, k]))
+        assert complex(qr[k], qi[k]) == complex(x / y)
 
 
 def test_from_roots_rejects_unpaired_complex():
@@ -318,3 +329,83 @@ def test_roots_output_is_conjugate_closed():
     np.testing.assert_allclose(
         np.sort_complex(r), np.sort_complex(r.conjugate()), atol=0
     )
+
+
+# ---------------------------------------------------------------------------
+# batched roots
+# ---------------------------------------------------------------------------
+
+# SHA-256 of the roots of `digest_polynomials()`, recorded with the scalar
+# Newton engine that `roots_batch` replaced (Python 3.11.7, numpy 2.4.6 with
+# its bundled OpenBLAS); another LAPACK build may round eigenvalues otherwise.
+ROOTS_SHA256 = "b70888aa1608068a0a2343ed3a1a5dac07cb75cd01607776338cb87b0119eb09"
+
+
+def test_roots_match_the_pinned_scalar_engine_bits():
+    polys = digest_polynomials()
+    assert array_digest(roots_batch(polys)) == ROOTS_SHA256
+    assert array_digest(p.roots() for p in polys) == ROOTS_SHA256
+
+
+small = st.integers(-30, 30).map(lambda k: k / 10.0)
+
+batch_row = st.one_of(
+    # generic, mixed degrees
+    coeff_list(1, 8).map(Polynomial),
+    # exact zeros at the origin
+    st.tuples(coeff_list(1, 5), st.integers(1, 3)).map(
+        lambda t: Polynomial([0.0] * t[1] + t[0])
+    ),
+    # repeated real root
+    st.tuples(small, st.integers(2, 4)).map(
+        lambda t: Polynomial.from_roots([t[0]] * t[1])
+    ),
+    # clustered real roots
+    st.tuples(small, st.lists(st.integers(-9, 9), min_size=2, max_size=4)).map(
+        lambda t: Polynomial.from_roots([t[0] + 1e-5 * k for k in t[1]])
+    ),
+    # repeated complex pair
+    st.tuples(small, small.filter(lambda b: b != 0.0), st.integers(1, 3)).map(
+        lambda t: Polynomial.from_roots([complex(t[0], t[1]), complex(t[0], -t[1])] * t[2])
+    ),
+    # distinct real roots: an all-real eigenvalue row
+    st.lists(st.integers(-20, 20), min_size=1, max_size=6, unique=True).map(
+        lambda ks: Polynomial.from_roots([k / 4.0 for k in ks])
+    ),
+)
+
+
+@given(st.lists(batch_row, min_size=1, max_size=12))
+def test_roots_batch_matches_each_row_alone(polys):
+    for p, r in zip(polys, roots_batch(polys)):
+        assert r.tobytes() == p.roots().tobytes()
+
+
+def test_roots_batch_real_row_beside_complex_rows():
+    # one eigenvalue call over this degree-3 stack returns complex dtype,
+    # yet the all-real row must keep the real-arithmetic bits it gets alone
+    def companion(p):
+        c = np.asarray(p.coeffs) / p.leading
+        m = np.eye(p.degree, k=-1)
+        m[0, :] = -c[-2::-1]
+        return m
+
+    real_row = Polynomial.from_roots([-0.3, -1.7, -2.9])
+    complex_row = Polynomial((2.0, 2.0, 1.0)) * (S + 3.0)
+    assert np.isrealobj(np.linalg.eigvals(companion(real_row)))
+    stack = np.stack([companion(complex_row), companion(real_row)])
+    assert np.iscomplexobj(np.linalg.eigvals(stack))
+    batch = roots_batch([complex_row, real_row, complex_row, real_row * S])
+    assert batch[1].tobytes() == real_row.roots().tobytes()
+    assert batch[0].tobytes() == complex_row.roots().tobytes()
+    assert np.all(batch[1].imag == 0.0) and np.any(batch[0].imag != 0.0)
+    assert batch[3].tobytes() == (real_row * S).roots().tobytes()
+
+
+def test_roots_batch_errors_and_empty():
+    assert roots_batch([]) == []
+    with pytest.raises(ValueError, match="zero polynomial"):
+        roots_batch([S, Polynomial((0.0,))])
+    with pytest.raises(ValueError, match="constant"):
+        roots_batch([Polynomial((5.0,)), S])
+    assert roots_batch([S * S])[0].tobytes() == np.zeros(2, dtype=complex).tobytes()

@@ -17,10 +17,12 @@ from pfclab.synth import (
     encode,
     ga_search,
     objective,
+    objective_batch,
     verify_pair,
 )
 from pfclab.tf import CompensatorPair, RationalTF
 
+from helpers import array_digest
 from oracles import routh_is_stable
 
 G_PEND = position_plant()
@@ -31,6 +33,11 @@ EASY = RationalTF((1.0,), (-1.0, 1.0))  # 1/(s-1)
 # pole near -2.1e3 belongs to C alone, not to the closed loop
 F_PAIR_A = -0.14494205154348355
 F_PAIR_B = -0.3192543750769919
+
+# SHA-256 of history, best_q and best_F of the n=3, seed-1 search below,
+# recorded with the one-candidate-at-a-time scorer that objective_batch
+# replaced (Python 3.11.7, numpy 2.4.6)
+GA_N3_SEED1_SHA256 = "e8a8488b80d9ff6174221ece99b4fc159859a3287b32f6bf5997e9a85a1bcf9f"
 
 
 def brute_F(q, n, G, penalty=6.0, eps1=1e-5, eps2=1e-4):
@@ -197,6 +204,33 @@ class TestObjective:
             rep = verify_pair(EASY, decode(v))
         assert not rep.passed and not rep.closed_loop_stable
 
+    def test_batch_matches_one_row_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        cfg = ObjectiveConfig(plant=G_PEND)
+        for n in (1, 2, 3):
+            rows = rng.uniform(-12.0, 12.0, (40, 4 * n + 2))
+            rows[3, 2 * n] = 0.0  # C denominator degree collapse
+            rows[5, 4 * n + 1] = 0.0  # P denominator degree collapse
+            rows[7, 0] = 0.0  # a0 == 0: a loop pole exactly at the origin
+            F = objective_batch(rows, n, cfg)
+            alone = [objective(CoeffVector(r, n), cfg) for r in rows]
+            assert F.tobytes() == np.array(alone).tobytes()
+            assert F[3] == F[5] == LARGE
+            # the origin pole is scored, not degenerate: p2 = 0 at best
+            assert 0.0 <= F[7] < LARGE
+        # loop degree drop (see above) and a loop denominator that vanishes:
+        # C = -1 and P = 0 around the unit plant give d_P*(d_C + n_C) = 0
+        for plant, bad in (
+            (EASY, (1, 1, 1, 1, -1, 1)),
+            (RationalTF((1.0,), (1.0,)), (-1, -1, 1, 0, 0, 1)),
+        ):
+            cfg = ObjectiveConfig(plant=plant)
+            rows = np.vstack([rng.uniform(-12.0, 12.0, (5, 6)), bad, rng.uniform(-12.0, 12.0, (5, 6))])
+            F = objective_batch(rows, 1, cfg)
+            alone = [objective(CoeffVector(r, 1), cfg) for r in rows]
+            assert F.tobytes() == np.array(alone).tobytes()
+            assert F[5] == LARGE and np.all(F[np.arange(11) != 5] != LARGE)
+
     def test_continuous_across_penalty_switch(self):
         # compensator pole pair at (+/-)delta + i: crossing p1 = 0 changes
         # branch but not the limit value
@@ -268,6 +302,13 @@ class TestGaSearch:
         assert r1.history == r2.history
         assert r1.best_q.q == r2.best_q.q
         assert r1.best_F == r2.best_F
+
+    def test_pinned_history_n3_seed1(self):
+        cfg = ObjectiveConfig(plant=G_PEND)
+        res = ga_search(cfg, GaConfig(seed=1, generations=8), 3)
+        digest = array_digest([res.history, res.best_q.q, [res.best_F]])
+        assert digest == GA_N3_SEED1_SHA256
+        assert res.best_F == objective(res.best_q, cfg)
 
     def test_history_is_monotone_best_ever(self):
         res = ga_search(

@@ -175,6 +175,24 @@ def test_pip_even_count_between_zeros():
     assert math.isinf(v.checks[-1][0])
 
 
+def test_pip_biproper_single_zero_stabilizable():
+    # (s-1)/(s-2): no zero at infinity, so the pole at 2 lies between no two
+    # zeros; the stable C = -1.5 puts the loop pole at -1
+    G1 = RationalTF([-1.0, 1.0], [-2.0, 1.0])
+    v = pip_check(G1)
+    assert v.strongly_stabilizable
+    assert v.checks == ()
+    assert loop_denominator(G1, constant(-1.5), ZERO_TF).roots().tolist() == [-1.0 + 0j]
+
+
+def test_pip_zero_at_origin_counts():
+    # s/((s-1)(s+1)): the zeros at 0 and infinity enclose the pole at 1
+    v = pip_check(RationalTF([0.0, 1.0], [-1.0, 0.0, 1.0]))
+    assert not v.strongly_stabilizable
+    assert v.checks == ((0.0, 1), (math.inf, 0))
+    assert v.offending == ((0.0, 1),)
+
+
 def test_pip_scaling_invariance():
     for plant in (G, F, RationalTF(Polynomial.from_roots([2.0]), Polynomial.from_roots([1.0, 3.0, -2.0]))):
         base = pip_check(plant)
