@@ -9,6 +9,7 @@ value is M = 0.3.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,15 +61,14 @@ class StateSpace:
     C: np.ndarray  # 1x4
 
 
-@dataclass(frozen=True)
-class NonlinearState:
+class NonlinearState(NamedTuple):
     x: float
     theta: float
     xdot: float
     thetadot: float
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.theta, self.xdot, self.thetadot])
+        return np.array(self)
 
     @classmethod
     def from_array(cls, a) -> "NonlinearState":
@@ -135,9 +135,11 @@ def state_space(M: float = 0.3) -> StateSpace:
 
 
 def nonlinear_derivatives(
-    st: NonlinearState, u: float, p: PendulumParams = PendulumParams()
+    st: Sequence[float], u: float, p: PendulumParams = PendulumParams()
 ) -> tuple[float, float, float, float]:
     """State derivative (xdot, thetadot, xddot, thetaddot) of the full model.
+
+    ``st`` is any (x, theta, xdot, thetadot) sequence, e.g. a NonlinearState.
 
     Momentum balance couples the two accelerations:
 
@@ -147,14 +149,15 @@ def nonlinear_derivatives(
     solved in closed form by Cramer's rule; the determinant
     L*(M + m*sin(theta)^2) is strictly positive, so no branch is needed.
     """
-    sin_t = np.sin(st.theta)
-    cos_t = np.cos(st.theta)
+    _, theta, xdot, thetadot = st
+    sin_t = np.sin(theta)
+    cos_t = np.cos(theta)
     det = p.L * (p.M + p.m * sin_t * sin_t)
-    rhs1 = u + p.m * p.L * st.thetadot * st.thetadot * sin_t
+    rhs1 = u + p.m * p.L * thetadot * thetadot * sin_t
     rhs2 = p.g * sin_t
     xddot = (p.L * rhs1 - p.m * p.L * cos_t * rhs2) / det
     thetaddot = (-cos_t * rhs1 + (p.M + p.m) * rhs2) / det
-    return (st.xdot, st.thetadot, float(xddot), float(thetaddot))
+    return (xdot, thetadot, float(xddot), float(thetaddot))
 
 
 def total_energy(st: NonlinearState, p: PendulumParams = PendulumParams()) -> float:

@@ -2,9 +2,12 @@
 
 Linear responses use classical RK4, implemented through the exact one-step
 maps for a constant input (Phi = truncated exponential to fourth order),
-which is algebraically identical to running the four-stage scheme.  The
-nonlinear closed loop integrates the coupled plant/compensator ODEs with
-the standard four-stage evaluation.
+which is algebraically identical to running the four-stage scheme.  Both
+closed-loop simulations build one linear loop model z' = A z + B r over the
+plant, compensator and feedforward states.  The linear twin steps it through
+those maps; the nonlinear run evaluates it with the standard four-stage
+scheme after replacing the four plant rows with the full cart-pendulum
+dynamics.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .plant import NonlinearState, PendulumParams, linear_plant, nonlinear_derivatives
+from .plant import PendulumParams, linear_plant, nonlinear_derivatives
 from .poly import Polynomial
 from .tf import NoiseChannelSet, RationalTF, angular_closed_loop
 
@@ -133,8 +136,13 @@ def _rk4_maps(A: np.ndarray, B: np.ndarray, h: float):
     return phi, gamma
 
 
+def _fastest_pole(A: np.ndarray) -> float:
+    """Largest eigenvalue magnitude of A; 0 for a system without states."""
+    return float(np.max(np.abs(np.linalg.eigvals(A)))) if A.size else 0.0
+
+
 def _sim_grid(t_end: float, dt: float, fastest: float):
-    """(time grid, step, step count) for an RK4 run.
+    """(time grid, step) for an RK4 run.
 
     The step drops to REFINED_DT when the fastest pole magnitude times the
     requested step leaves the RK4 stability region.
@@ -145,8 +153,7 @@ def _sim_grid(t_end: float, dt: float, fastest: float):
         raise ValueError("dt must be smaller than t_end")
     if fastest * dt > FAST_POLE_PRODUCT_LIMIT:
         dt = REFINED_DT
-    steps = int(round(t_end / dt))
-    return np.arange(steps + 1) * dt, dt, steps
+    return np.arange(int(round(t_end / dt)) + 1) * dt, dt
 
 
 # ---------------------------------------------------------------------------
@@ -162,19 +169,14 @@ def step_response(tf: RationalTF, t_end: float = 60.0, dt: float = 1e-3) -> Time
     refined automatically.
     """
     rz = realize(tf)
-    fastest = float(np.max(np.abs(np.linalg.eigvals(rz.A)))) if rz.order else 0.0
-    t, dt, steps = _sim_grid(t_end, dt, fastest)
-    y = np.empty(steps + 1)
-    if rz.order == 0:
-        y[:] = rz.D
-        return TimeSeries(t=t, y=y)
-
+    t, dt = _sim_grid(t_end, dt, _fastest_pole(rz.A))
+    y = np.empty(t.size)
     phi, gamma = _rk4_maps(rz.A, rz.B, dt)
     u = gamma[:, 0]
     x = np.zeros(rz.order)
     c_row = rz.C[0]
     y[0] = rz.D
-    for k in range(1, steps + 1):
+    for k in range(1, t.size):
         x = phi @ x + u
         y[k] = c_row @ x + rz.D
     return TimeSeries(t=t, y=y)
@@ -197,42 +199,56 @@ def angle_step_response(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _LoopPieces:
-    rc: Realization
-    rp: Realization
-    alpha: float  # 1 / (1 + D_C * D_P), the algebraic feedthrough solve
+def _loop_model(params: PendulumParams, C: RationalTF, P: RationalTF):
+    """The linear closed loop z' = A z + B r, z = (plant, C states, P states).
 
-    @classmethod
-    def build(cls, C: RationalTF, P: RationalTF) -> "_LoopPieces":
-        rc = realize(C)
-        rp = realize(P)
-        gain = 1.0 + rc.D * rp.D
-        if abs(gain) < 1e-12:
-            raise ValueError("compensator feedthroughs close a singular algebraic loop")
-        return cls(rc=rc, rp=rp, alpha=1.0 / gain)
+    Returns (A, B, row_v, alpha, fastest): the cart force is v = row_v @ z +
+    alpha * r, and ``fastest`` is the largest pole magnitude of C and P.
+    """
+    rc, rp = realize(C), realize(P)
+    gain = 1.0 + rc.D * rp.D
+    if abs(gain) < 1e-12:
+        raise ValueError("compensator feedthroughs close a singular algebraic loop")
+    alpha = 1.0 / gain
+    n = 4 + rc.order + rp.order
+    xc, xp = slice(4, 4 + rc.order), slice(4 + rc.order, n)
 
-    def force(self, r: float, y: float, xc: np.ndarray, xp: np.ndarray) -> float:
-        """Solve the instantaneous loop for the cart force.
+    # each block's input as a row over (z, r).  v = r - C_out with C driven
+    # by y + P_out and P driven by v, so the two feedthroughs couple:
+    # v*(1 + D_C*D_P) = r - Cc*xc - D_C*y - D_C*Cp*xp, y the cart position
+    row_v = np.zeros(n + 1)
+    row_v[0] = -rc.D
+    row_v[xc] = -rc.C[0]
+    row_v[xp] = -rc.D * rp.C[0]
+    row_v[n] = 1.0
+    row_v *= alpha
+    # C input: y + P_out = y + Cp xp + D_P v
+    row_in = rp.D * row_v
+    row_in[0] += 1.0
+    row_in[xp] += rp.C[0]
 
-        v = r - C_out with C driven by y + P_out and P driven by v; the two
-        feedthroughs couple, giving v*(1 + D_C*D_P) = r - Cc*xc - D_C*y -
-        D_C*Cp*xp.
-        """
-        rc, rp = self.rc, self.rp
-        num = r - rc.D * y
-        if rc.order:
-            num -= float(rc.C[0] @ xc)
-        if rp.order:
-            num -= rc.D * float(rp.C[0] @ xp)
-        return self.alpha * num
+    AB = np.zeros((n, n + 1))
+    plant = linear_plant(params)
+    for rows, blk, u in ((slice(0, 4), plant, row_v), (xc, rc, row_in), (xp, rp, row_v)):
+        AB[rows, rows] = blk.A
+        AB[rows] += blk.B @ u[None, :]
+    fastest = max(_fastest_pole(rc.A), _fastest_pole(rp.A))
+    # contiguous copies keep the per-stage A @ z of the nonlinear run fast
+    return AB[:, :n].copy(), AB[:, n:].copy(), row_v[:n], row_v[n], fastest
 
-    def fastest_pole(self) -> float:
-        mags = [0.0]
-        for rz in (self.rc, self.rp):
-            if rz.order:
-                mags.append(float(np.max(np.abs(np.linalg.eigvals(rz.A)))))
-        return max(mags)
+
+def _run_loop(step, n: int, theta0: float, t: np.ndarray):
+    """(cart, angle) series on t of ``step`` iterated from rest tilted by theta0."""
+    z = np.zeros(n)
+    z[1] = theta0
+    rec = np.empty((2, t.size))
+    rec[:, 0] = z[:2]
+    for k in range(1, t.size):
+        z = step(z)
+        if not np.max(np.abs(z)) <= DIVERGENCE_BOUND:  # NaN fails the test too
+            raise TrajectoryDiverged(t_reached=float(t[k]))
+        rec[:, k] = z[:2]
+    return TimeSeries(t=t, y=rec[0]), TimeSeries(t=t, y=rec[1])
 
 
 def nonlinear_closed_loop(
@@ -251,42 +267,25 @@ def nonlinear_closed_loop(
     path.  Initial state is upright-at-rest except for the given angle.
     Returns (cart position, pendulum angle).
     """
-    loop = _LoopPieces.build(C, P)
-    t, dt, steps = _sim_grid(t_end, dt, loop.fastest_pole())
-
-    nc, np_ = loop.rc.order, loop.rp.order
-    z = np.zeros(4 + nc + np_)
-    z[1] = theta0
+    A, B, row_v, alpha, fastest = _loop_model(params, C, P)
+    t, dt = _sim_grid(t_end, dt, fastest)
+    drive = B[:, 0] * x_ref_step
+    v_ref = alpha * x_ref_step
 
     def deriv(z):
-        plant, xc, xp = z[:4], z[4 : 4 + nc], z[4 + nc :]
-        y = plant[0]
-        v = loop.force(x_ref_step, y, xc, xp)
-        dplant = nonlinear_derivatives(NonlinearState.from_array(plant), v, params)
-        out = np.empty_like(z)
-        out[:4] = dplant
-        if nc:
-            p_out = loop.rp.D * v
-            if np_:
-                p_out += float(loop.rp.C[0] @ xp)
-            out[4 : 4 + nc] = loop.rc.A @ xc + loop.rc.B[:, 0] * (y + p_out)
-        if np_:
-            out[4 + nc :] = loop.rp.A @ xp + loop.rp.B[:, 0] * v
+        # the linear loop, with the four plant rows replaced by the full model
+        out = A @ z + drive
+        out[:4] = nonlinear_derivatives(z[:4], row_v @ z + v_ref, params)
         return out
 
-    xs = np.empty(steps + 1)
-    ths = np.empty(steps + 1)
-    xs[0], ths[0] = z[0], z[1]
-    for k in range(1, steps + 1):
+    def step(z):
         k1 = deriv(z)
         k2 = deriv(z + 0.5 * dt * k1)
         k3 = deriv(z + 0.5 * dt * k2)
         k4 = deriv(z + dt * k3)
-        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(z)) or np.max(np.abs(z)) > DIVERGENCE_BOUND:
-            raise TrajectoryDiverged(t_reached=float(t[k]))
-        xs[k], ths[k] = z[0], z[1]
-    return TimeSeries(t=t, y=xs), TimeSeries(t=t, y=ths)
+        return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    return _run_loop(step, A.shape[0], theta0, t)
 
 
 def linear_closed_loop(
@@ -303,58 +302,11 @@ def linear_closed_loop(
     Used to check that the linearized design story survives on the full
     model for small excursions.
     """
-    loop = _LoopPieces.build(C, P)
-    lp = linear_plant(params)
-    nc, np_ = loop.rc.order, loop.rp.order
-    n = 4 + nc + np_
-
-    # assemble z' = A z + B r by eliminating the loop force
-    # v = alpha * (r - Cc xc - D_C y - D_C Cp xp) with y = plant position
-    row_v = np.zeros(n)
-    row_v[0] = -loop.rc.D
-    if nc:
-        row_v[4 : 4 + nc] = -loop.rc.C[0]
-    if np_:
-        row_v[4 + nc :] = -loop.rc.D * loop.rp.C[0]
-    row_v *= loop.alpha
-    r_gain = loop.alpha
-
-    A = np.zeros((n, n))
-    B = np.zeros((n, 1))
-    A[:4, :4] = lp.A
-    A[:4, :] += lp.B @ row_v[None, :]
-    B[:4, 0] = lp.B[:, 0] * r_gain
-    if nc:
-        # C input: y + P_out = y + Cp xp + D_P v
-        row_in = np.zeros(n)
-        row_in[0] = 1.0
-        if np_:
-            row_in[4 + nc :] += loop.rp.C[0]
-        row_in += loop.rp.D * row_v
-        A[4 : 4 + nc, 4 : 4 + nc] = loop.rc.A
-        A[4 : 4 + nc, :] += loop.rc.B @ row_in[None, :]
-        B[4 : 4 + nc, 0] = loop.rc.B[:, 0] * (loop.rp.D * r_gain)
-    if np_:
-        A[4 + nc :, 4 + nc :] = loop.rp.A
-        A[4 + nc :, :] += loop.rp.B @ row_v[None, :]
-        B[4 + nc :, 0] = loop.rp.B[:, 0] * r_gain
-
-    fastest = float(np.max(np.abs(np.linalg.eigvals(A)))) if n else 0.0
-    t, dt, steps = _sim_grid(t_end, dt, max(fastest, loop.fastest_pole()))
-
-    z = np.zeros(n)
-    z[1] = theta0
+    A, B, _, _, fastest = _loop_model(params, C, P)
+    t, dt = _sim_grid(t_end, dt, max(_fastest_pole(A), fastest))
     phi, gamma = _rk4_maps(A, B, dt)
     drive = gamma[:, 0] * x_ref_step
-    xs = np.empty(steps + 1)
-    ths = np.empty(steps + 1)
-    xs[0], ths[0] = z[0], z[1]
-    for k in range(1, steps + 1):
-        z = phi @ z + drive
-        if not np.all(np.isfinite(z)) or np.max(np.abs(z)) > DIVERGENCE_BOUND:
-            raise TrajectoryDiverged(t_reached=float(t[k]))
-        xs[k], ths[k] = z[0], z[1]
-    return TimeSeries(t=t, y=xs), TimeSeries(t=t, y=ths)
+    return _run_loop(lambda z: phi @ z + drive, A.shape[0], theta0, t)
 
 
 # ---------------------------------------------------------------------------

@@ -390,27 +390,29 @@ class VerificationReport:
         }
 
 
-def _rightmost(p: Polynomial) -> float:
-    return -math.inf if p.degree < 1 else p.rightmost_real_part()
-
-
 def verify_pair(G: RationalTF, pair: CompensatorPair) -> VerificationReport:
     """Re-derive every stability and properness claim for a pair.
 
     Works from the raw polynomials: the closed-loop denominator is
     assembled without cancellation, so a pair that only looks stable after
-    cancelling an unstable factor fails here.
+    cancelling an unstable factor fails here.  All poles come from one root
+    batch; a constant denominator has none (rightmost -inf), and a zero loop
+    denominator goes into the batch so that `roots_batch` rejects it.
     """
-    den = loop_denominator(G, pair.C, pair.P)
+    dens = (pair.C.den, pair.P.den, loop_denominator(G, pair.C, pair.P))
+    roots = iter(roots_batch([d for d in dens if d.degree != 0]))
+    c_r, p_r, h_r = (
+        -math.inf if d.degree == 0 else float(np.max(next(roots).real)) for d in dens
+    )
     return VerificationReport(
         c_proper=pair.C.is_proper,
         p_proper=pair.P.is_proper,
-        c_stable=pair.C.den.is_hurwitz(),
-        p_stable=pair.P.den.is_hurwitz(),
-        closed_loop_stable=den.is_hurwitz(),
-        c_rightmost=_rightmost(pair.C.den),
-        p_rightmost=_rightmost(pair.P.den),
-        h_rightmost=_rightmost(den),
+        c_stable=c_r < 0.0,
+        p_stable=p_r < 0.0,
+        closed_loop_stable=h_r < 0.0,
+        c_rightmost=c_r,
+        p_rightmost=p_r,
+        h_rightmost=h_r,
         c_relative_degree=pair.C.den.degree - pair.C.num.degree,
         p_relative_degree=pair.P.den.degree - pair.P.num.degree,
     )

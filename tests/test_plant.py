@@ -170,6 +170,16 @@ class TestNonlinearDynamics:
         e1 = total_energy(NonlinearState.from_array(y), p)
         assert abs(e1 - e0) < 1e-6
 
+    def test_plain_sequence_state_matches_named_state(self):
+        p = PendulumParams(M=0.3, L=2.0, m=0.5, g=9.81)
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            xs = rng.normal(size=4)
+            u = float(rng.normal())
+            want = nonlinear_derivatives(NonlinearState(*map(float, xs)), u, p)
+            assert nonlinear_derivatives(np.array(xs), u, p) == want
+            assert nonlinear_derivatives(list(xs), u, p) == want
+
     def test_state_array_roundtrip(self):
         st0 = NonlinearState(0.1, -0.2, 0.3, -0.4)
         assert NonlinearState.from_array(st0.as_array()) == st0

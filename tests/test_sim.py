@@ -18,7 +18,7 @@ from pfclab.sim import (
 )
 from pfclab.tf import NoiseChannelSet, RationalTF, closed_loop, noise_channels
 
-from helpers import expand_conjugates, separated, stable_root
+from helpers import array_digest, expand_conjugates, separated, stable_root
 
 G = position_plant()
 F = angle_plant()
@@ -212,6 +212,71 @@ class TestNonlinearClosedLoop:
                 PendulumParams(), PAIR_B.C, PAIR_B.P, x_ref_step=0.0, theta0=3.0, t_end=60.0
             )
         assert exc.value.t_reached > 0.0
+
+
+# SHA-256 of the linear closed-loop (cart, angle) series with their time
+# grids, theta0=0.01 over 5 s, and of the 60 s position and angle step
+# responses; recorded when each simulation still assembled its own loop
+# (Python 3.11.7, numpy 2.4.6)
+LINEAR_LOOP_SHA256 = {
+    ("a", 0.0): "3b589be342a1a84aed998b85628163779f05d365d1b76069b713ebea2ef98dae",
+    ("a", 0.001): "47b2ef276a08684b6e4f08df0042fe446dc0f553554e006aeffa56fff077526d",
+    ("b", 0.0): "2cde182fd953b279707f790cdd8009f114c8748de136f047ebfa3dabf0f255fe",
+    ("b", 0.001): "525bc38de31163bdb9abfd19e5a9bb5eff6fc72a14f60c3bda1a9730f87ff25f",
+}
+STEP_RESPONSES_SHA256 = {
+    "a": "519b67130456ca9aeed73bed295cffee8eb6bbb3678784d1d18f3156893b28d9",
+    "b": "a7317792172b9418d4b85365d473d22b0683641b7dbe734a9093f487e9d5d453",
+}
+
+STATIC = RationalTF((2.0,), (1.0,))
+
+
+def _assert_tracks_linear_twin(C, P, rel, **args):
+    p = PendulumParams()
+    nonlinear = nonlinear_closed_loop(p, C, P, **args)
+    linear = linear_closed_loop(p, C, P, **args)
+    for nl, lin in zip(nonlinear, linear):
+        scale = np.max(np.abs(lin.y))
+        assert scale > 0.0
+        assert np.max(np.abs(nl.y - lin.y)) <= rel * scale
+
+
+class TestLoopModel:
+    @pytest.mark.parametrize("pair", [PAIR_A, PAIR_B], ids=["a", "b"])
+    def test_linear_outputs_pinned(self, pair):
+        for r in (0.0, 0.001):
+            out = linear_closed_loop(
+                PendulumParams(), pair.C, pair.P, x_ref_step=r, theta0=0.01, t_end=5.0
+            )
+            digest = array_digest([s.t for s in out] + [s.y for s in out])
+            assert digest == LINEAR_LOOP_SHA256[pair.label, r], r
+        steps = (
+            step_response(closed_loop(G, pair.C, pair.P)),
+            angle_step_response(F, G, pair.C, pair.P),
+        )
+        assert array_digest([s.y for s in steps]) == STEP_RESPONSES_SHA256[pair.label]
+
+    @pytest.mark.parametrize("pair", [PAIR_A, PAIR_B], ids=["a", "b"])
+    def test_reference_step_tracks_linear_twin(self, pair):
+        _assert_tracks_linear_twin(
+            pair.C, pair.P, 0.005, x_ref_step=0.001, theta0=0.0, t_end=5.0
+        )
+
+    @pytest.mark.parametrize(
+        "C, P",
+        [(STATIC, PAIR_B.P), (PAIR_B.C, 0.25 * STATIC), (STATIC, 0.25 * STATIC)],
+        ids=["static-C", "static-P", "both-static"],
+    )
+    def test_static_blocks_track_linear_twin(self, C, P):
+        assert min(realize(C).order, realize(P).order) == 0
+        _assert_tracks_linear_twin(C, P, 0.005, x_ref_step=0.0, theta0=1e-4, t_end=1.0)
+
+    def test_singular_feedthrough_loop_rejected(self):
+        # D_C * D_P = 2 * (-0.5) = -1 leaves the loop force undetermined
+        for simulate in (nonlinear_closed_loop, linear_closed_loop):
+            with pytest.raises(ValueError, match="singular algebraic loop"):
+                simulate(PendulumParams(), STATIC, -0.25 * STATIC, 0.0, 1e-4, t_end=1.0)
 
 
 CHANNELS_B = noise_channels(G, PAIR_B.C, PAIR_B.P)

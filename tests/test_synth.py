@@ -1,5 +1,6 @@
 """Coefficient-vector search layer: encoding, objective, GA, verification."""
 
+import math
 import warnings
 
 import numpy as np
@@ -20,7 +21,7 @@ from pfclab.synth import (
     objective_batch,
     verify_pair,
 )
-from pfclab.tf import CompensatorPair, RationalTF
+from pfclab.tf import CompensatorPair, RationalTF, loop_denominator
 
 from helpers import array_digest
 from oracles import routh_is_stable
@@ -414,6 +415,25 @@ class TestVerifyPair:
         rep = verify_pair(G_PEND, pair)
         assert not rep.c_proper
         assert rep.c_relative_degree == -1
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            PAIR_A,
+            PAIR_B,
+            CompensatorPair(RationalTF((1.0,), (-1.0, 1.0)), RationalTF((0.0,), (1.0,))),
+            CompensatorPair(RationalTF((2.0,), (1.0,)), PAIR_B.P),
+        ],
+        ids=["a", "b", "failing", "constant-C-den"],
+    )
+    def test_report_matches_per_polynomial_checks(self, pair):
+        rep = verify_pair(G_PEND, pair)
+        dens = (pair.C.den, pair.P.den, loop_denominator(G_PEND, pair.C, pair.P))
+        stable = (rep.c_stable, rep.p_stable, rep.closed_loop_stable)
+        rightmost = (rep.c_rightmost, rep.p_rightmost, rep.h_rightmost)
+        for den, ok, r in zip(dens, stable, rightmost):
+            assert ok == den.is_hurwitz()
+            assert r == (den.rightmost_real_part() if den.degree else -math.inf)
 
     def test_report_json_fields(self):
         d = verify_pair(G_PEND, PAIR_B).to_json_dict()
