@@ -2,9 +2,12 @@
 
 Every pipeline in the library is reachable from here: verification of the
 built-in pairs, fresh synthesis runs, time/frequency response emitters, the
-Monte Carlo studies, and the observer-based design walkthrough.  Commands
-write plot-ready CSV/JSON plus a small metadata file; nothing renders
-images, any plotting tool can consume the output.
+Monte Carlo studies, and the observer-based design walkthrough.  All but
+verify and modern, which only print, write plot-ready CSV/JSON plus a small
+metadata file; nothing renders images.  Every command takes --out and
+--mass; --plant is taken by all but angle, robustness and modern, --pair and
+--pair-file by all but synthesize and modern, --seed by synthesize, noise,
+robustness and fragility.
 
 Exit codes: 0 all checks passed or data written, 1 an analysis reached a
 negative verdict (verification failed, no stabilizing pair found, unstable
@@ -17,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -57,77 +59,8 @@ class UsageError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# sources and output
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation: sources, seed, destination, extras."""
-
-    command: str
-    out_dir: Path
-    plant: str = "pendulum-position"
-    pair: str | None = None
-    pair_file: str | None = None
-    mass: float = 0.3
-    seed: int = 0
-    options: dict = field(default_factory=dict)
-
-    # -- source loading ---------------------------------------------------
-
-    def load_plant(self) -> RationalTF:
-        if self.plant == "pendulum-position":
-            return position_plant(M=self.mass)
-        if self.plant == "pendulum-angle":
-            return angle_plant(self.mass)
-        if self.plant.startswith("file:"):
-            return RationalTF.from_json_dict(
-                _read_json(self.plant[len("file:") :])
-            )
-        raise UsageError(
-            f"unknown plant {self.plant!r}; use pendulum-position, "
-            "pendulum-angle, or file:PATH"
-        )
-
-    def load_pair(self) -> CompensatorPair | None:
-        if self.pair_file is not None:
-            return CompensatorPair.from_json_dict(_read_json(self.pair_file))
-        if self.pair is None or self.pair == "none":
-            return None
-        try:
-            return get_pair(self.pair)
-        except KeyError:
-            raise UsageError(
-                f"unknown pair {self.pair!r}; builtin choices: "
-                + ", ".join(sorted(BUILTIN_PAIRS))
-            ) from None
-
-    def require_pair(self) -> CompensatorPair:
-        pair = self.load_pair()
-        if pair is None:
-            raise UsageError(f"{self.command} needs --pair or --pair-file")
-        return pair
-
-    # -- output -----------------------------------------------------------
-
-    def ensure_out(self) -> Path:
-        try:
-            self.out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as e:
-            raise UsageError(f"cannot create output directory: {e}") from None
-        return self.out_dir
-
-    def write_metadata(self, name: str, echo: dict) -> None:
-        meta = {
-            "command": self.command,
-            "version": __version__,
-            "seed": self.seed,
-            "config": echo,
-            "timestamp": datetime.now(timezone.utc).isoformat(),
-        }
-        path = self.out_dir / f"{name}_metadata.json"
-        path.write_text(json.dumps(meta, indent=2) + "\n")
 
 
 def _read_json(path) -> dict:
@@ -141,6 +74,77 @@ def _read_json(path) -> dict:
     if not isinstance(data, dict):
         raise UsageError(f"malformed JSON in {path}: expected an object")
     return data
+
+
+def _load_plant(args) -> RationalTF:
+    if args.plant == "pendulum-position":
+        return position_plant(M=args.mass)
+    if args.plant == "pendulum-angle":
+        return angle_plant(args.mass)
+    if args.plant.startswith("file:"):
+        return RationalTF.from_json_dict(_read_json(args.plant[len("file:") :]))
+    raise UsageError(
+        f"unknown plant {args.plant!r}; use pendulum-position, "
+        "pendulum-angle, or file:PATH"
+    )
+
+
+def _load_pair(args) -> CompensatorPair | None:
+    if args.pair_file is not None:
+        return CompensatorPair.from_json_dict(_read_json(args.pair_file))
+    if args.pair is None or args.pair == "none":
+        return None
+    try:
+        return get_pair(args.pair)
+    except KeyError:
+        raise UsageError(
+            f"unknown pair {args.pair!r}; builtin choices: "
+            + ", ".join(sorted(BUILTIN_PAIRS))
+        ) from None
+
+
+def _require_pair(args) -> CompensatorPair:
+    pair = _load_pair(args)
+    if pair is None:
+        raise UsageError(f"{args.command} needs --pair or --pair-file")
+    return pair
+
+
+def _emit(args, echo: dict, files: dict, *lines: str, code: int = 0) -> int:
+    """Write files (name -> writer of that path) and the metadata recording
+    echo into the output directory, print lines, report the first file."""
+    out = Path(args.out if args.out is not None else os.environ.get(OUT_ENV, "."))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise UsageError(f"cannot create output directory: {e}") from None
+    for name, write in files.items():
+        write(out / name)
+    first = next(iter(files))
+    meta = {
+        "command": args.command,
+        "version": __version__,
+        "seed": getattr(args, "seed", 0),
+        "config": echo,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    }
+    (out / f"{Path(first).stem}_metadata.json").write_text(json.dumps(meta, indent=2) + "\n")
+    print(*lines, f"wrote {out / first}", sep="\n")
+    return code
+
+
+def _emit_mc(args, rep, echo: dict) -> int:
+    """_emit for a Monte Carlo report: JSON, pole cloud, verdict; echo gains trials, sigma."""
+    return _emit(
+        args,
+        {**echo, "trials": args.trials, "sigma": args.sigma},
+        {
+            f"{args.command}.json": lambda p: p.write_text(rep.to_json() + "\n"),
+            f"{args.command}_cloud.csv": rep.cloud_to_csv,
+        },
+        f"{rep.unstable_count} of {rep.trials} trials unstable "
+        f"(sigma={rep.sigma:g}, seed={rep.seed})",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -191,19 +195,19 @@ def _unstable_loop(G: RationalTF, pair: CompensatorPair) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    G = cfg.load_plant()
+def cmd_verify(args) -> int:
+    G = _load_plant(args)
     verdict = pip_check(G)
     word = (
         "strongly stabilizable"
         if verdict.strongly_stabilizable
         else "not strongly stabilizable"
     )
-    print(f"plant {cfg.plant}: {word}")
+    print(f"plant {args.plant}: {word}")
     for z, count in verdict.checks:
         where = "infinity" if z == float("inf") else f"{z:g}"
         print(f"  real RHP zero at {where}: {count} real RHP pole(s) before the next zero")
-    pair = cfg.load_pair()
+    pair = _load_pair(args)
     if pair is None:
         return 0
     rep = verify_pair(G, pair)
@@ -225,228 +229,144 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if rep.passed else 1
 
 
-def cmd_synthesize(cfg: RunConfig) -> int:
-    plant = cfg.load_plant()
-    o = cfg.options
-    try:
-        ga = GaConfig(
-            population=o["population"],
-            generations=o["generations"],
-            crossover_rate=o["crossover_rate"],
-            mutation_rate=o["mutation_rate"],
-            mutation_scale=o["mutation_scale"],
-            elitism=o["elitism"],
-            init_range=tuple(o["init_range"]),
-            seed=cfg.seed,
-        )
-        obj = ObjectiveConfig(plant=plant)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
-    res = ga_search(obj, ga, o["n"])
-    out = cfg.ensure_out()
-    (out / "synthesis.json").write_text(res.to_json() + "\n")
-    res.history_to_csv(out / "synthesis_history.csv")
-    cfg.write_metadata("synthesis", {"n": o["n"], "ga": ga.to_json_dict()})
+def cmd_synthesize(args) -> int:
+    plant = _load_plant(args)
+    ga = GaConfig(
+        population=args.population,
+        generations=args.generations,
+        crossover_rate=args.crossover_rate,
+        mutation_rate=args.mutation_rate,
+        mutation_scale=args.mutation_scale,
+        elitism=args.elitism,
+        init_range=tuple(args.init_range),
+        seed=args.seed,
+    )
+    res = ga_search(ObjectiveConfig(plant=plant), ga, args.n)
     status = "success" if res.success else "no stabilizing pair found"
-    print(f"n={o['n']} seed={cfg.seed}: best F = {res.best_F:.6f} ({status})")
+    lines = [f"n={args.n} seed={args.seed}: best F = {res.best_F:.6f} ({status})"]
     if res.success:
         audited = verify_pair(plant, res.pair)
-        print(f"independent verification: {'PASS' if audited.passed else 'FAIL'}")
-    print(f"wrote {out / 'synthesis.json'}")
-    return 0 if res.success else 1
+        lines.append(f"independent verification: {'PASS' if audited.passed else 'FAIL'}")
+    return _emit(
+        args,
+        {"n": args.n, "ga": ga.to_json_dict()},
+        {
+            "synthesis.json": lambda p: p.write_text(res.to_json() + "\n"),
+            "synthesis_history.csv": res.history_to_csv,
+        },
+        *lines,
+        code=0 if res.success else 1,
+    )
 
 
-def cmd_step(cfg: RunConfig) -> int:
-    pair = cfg.require_pair()
-    G = cfg.load_plant()
+def cmd_step(args) -> int:
+    pair = _require_pair(args)
+    G = _load_plant(args)
     if _unstable_loop(G, pair):
         return 1
     H = closed_loop(G, pair.C, pair.P)
-    ts = step_response(H, t_end=cfg.options["t_end"], dt=cfg.options["dt"])
-    out = cfg.ensure_out()
-    ts.to_csv(out / "step.csv")
-    cfg.write_metadata(
-        "step",
-        {
-            "plant": cfg.plant,
-            "pair": pair.label,
-            "t_end": cfg.options["t_end"],
-            "dt": cfg.options["dt"],
-        },
-    )
-    print(f"final value {ts.y[-1]:.6f} (DC gain {H(0.0):.6f})")
-    print(f"wrote {out / 'step.csv'}")
-    return 0
+    ts = step_response(H, t_end=args.t_end, dt=args.dt)
+    echo = {"plant": args.plant, "pair": pair.label, "t_end": args.t_end, "dt": args.dt}
+    line = f"final value {ts.y[-1]:.6f} (DC gain {H(0.0):.6f})"
+    return _emit(args, echo, {"step.csv": ts.to_csv}, line)
 
 
-def cmd_angle(cfg: RunConfig) -> int:
-    pair = cfg.require_pair()
-    F = angle_plant(cfg.mass)
-    G = position_plant(M=cfg.mass)
+def cmd_angle(args) -> int:
+    pair = _require_pair(args)
+    F = angle_plant(args.mass)
+    G = position_plant(M=args.mass)
     if _unstable_loop(G, pair):
         return 1
-    ts = angle_step_response(
-        F, G, pair.C, pair.P, t_end=cfg.options["t_end"], dt=cfg.options["dt"]
-    )
-    out = cfg.ensure_out()
-    ts.to_csv(out / "angle.csv")
-    cfg.write_metadata(
-        "angle",
-        {
-            "pair": pair.label,
-            "mass": cfg.mass,
-            "t_end": cfg.options["t_end"],
-            "dt": cfg.options["dt"],
-        },
-    )
+    ts = angle_step_response(F, G, pair.C, pair.P, t_end=args.t_end, dt=args.dt)
     tail = ts.y[ts.t > 0.8 * ts.t[-1]]
-    print(f"peak |angle| {np.abs(ts.y).max():.6g}, tail max {np.abs(tail).max():.3e}")
-    print(f"wrote {out / 'angle.csv'}")
-    return 0
+    echo = {"pair": pair.label, "mass": args.mass, "t_end": args.t_end, "dt": args.dt}
+    line = f"peak |angle| {np.abs(ts.y).max():.6g}, tail max {np.abs(tail).max():.3e}"
+    return _emit(args, echo, {"angle.csv": ts.to_csv}, line)
 
 
-def cmd_bode(cfg: RunConfig) -> int:
-    o = cfg.options
-    G = cfg.load_plant()
-    source = o["channel"]
+def cmd_bode(args) -> int:
+    G = _load_plant(args)
+    source = args.channel
     if source == "plant":
         tf = G
     else:
-        pair = cfg.require_pair()
+        pair = _require_pair(args)
         if _unstable_loop(G, pair):
             return 1
         if source == "h":
             tf = closed_loop(G, pair.C, pair.P)
         else:
-            idx = int(source[1:]) - 1
-            tf = noise_channels(G, pair.C, pair.P).channels[idx]
-    curve = bode_curve(tf, o["w_min"], o["w_max"], o["points"])
-    out = cfg.ensure_out()
-    curve.to_csv(out / "bode.csv")
-    cfg.write_metadata(
-        "bode",
-        {
-            "plant": cfg.plant,
-            "channel": source,
-            "w_min": o["w_min"],
-            "w_max": o["w_max"],
-            "points": o["points"],
-        },
-    )
+            tf = noise_channels(G, pair.C, pair.P).channels[int(source[1:]) - 1]
+    curve = bode_curve(tf, args.w_min, args.w_max, args.points)
     k = int(np.argmax(curve.mag_db))
-    print(
-        f"grid peak {curve.mag_db[k]:.4f} dB at omega = {curve.omega[k]:.6g}"
-    )
+    lines = [f"grid peak {curve.mag_db[k]:.4f} dB at omega = {curve.omega[k]:.6g}"]
     if curve.near_axis_pole:
-        print("note: pole near the evaluated imaginary axis, magnitudes spike")
-    print(f"wrote {out / 'bode.csv'}")
-    return 0
-
-
-def cmd_noise(cfg: RunConfig) -> int:
-    pair = cfg.require_pair()
-    G = cfg.load_plant()
-    o = cfg.options
-    chans = noise_channels(G, pair.C, pair.P)
-    spec = NoiseSpec(
-        N=o["sines"],
-        amp_norm=o["amp"],
-        freq_interval=(o["freq_lo"], o["freq_hi"]),
-        seed=cfg.seed,
+        lines.append("note: pole near the evaluated imaginary axis, magnitudes spike")
+    return _emit(
+        args,
+        {
+            "plant": args.plant,
+            "channel": source,
+            "w_min": args.w_min,
+            "w_max": args.w_max,
+            "points": args.points,
+        },
+        {"bode.csv": curve.to_csv},
+        *lines,
     )
+
+
+def cmd_noise(args) -> int:
+    pair = _require_pair(args)
+    G = _load_plant(args)
+    chans = noise_channels(G, pair.C, pair.P)
+    interval = (args.freq_lo, args.freq_hi)
+    spec = NoiseSpec(N=args.sines, amp_norm=args.amp, freq_interval=interval, seed=args.seed)
     if _unstable_loop(G, pair):
         return 1
-    t = np.arange(0.0, o["t_end"], o["dt"])
+    t = np.arange(0.0, args.t_end, args.dt)
     series = noise_time_response(chans, spec, t)
-    out = cfg.ensure_out()
-    path = out / "noise.csv"
-    with open(path, "w") as fh:
-        fh.write("t," + ",".join(f"e{k}" for k in range(1, 7)) + "\n")
-        cols = [s.y for s in series]
-        for i, ti in enumerate(t):
-            fh.write(
-                f"{ti:.17g},"
-                + ",".join(f"{col[i]:.17g}" for col in cols)
-                + "\n"
-            )
-    cfg.write_metadata(
-        "noise",
+    table = np.column_stack([t] + [s.y for s in series])
+    peaks = ", ".join(f"e{k}={np.abs(s.y).max():.4g}" for k, s in enumerate(series, 1))
+    return _emit(
+        args,
         {
-            "plant": cfg.plant,
+            "plant": args.plant,
             "pair": pair.label,
-            "sines": o["sines"],
-            "amp": o["amp"],
-            "freq_interval": [o["freq_lo"], o["freq_hi"]],
-            "t_end": o["t_end"],
-            "dt": o["dt"],
+            "sines": args.sines,
+            "amp": args.amp,
+            "freq_interval": list(interval),
+            "t_end": args.t_end,
+            "dt": args.dt,
         },
+        {
+            "noise.csv": lambda p: np.savetxt(
+                p, table, fmt="%.17g", delimiter=",", header="t,e1,e2,e3,e4,e5,e6", comments=""
+            )
+        },
+        f"per-channel peak |y|: {peaks}",
     )
-    peaks = ", ".join(
-        f"e{k}={np.abs(s.y).max():.4g}" for k, s in enumerate(series, 1)
-    )
-    print(f"per-channel peak |y|: {peaks}")
-    print(f"wrote {path}")
-    return 0
 
 
-def cmd_robustness(cfg: RunConfig) -> int:
-    pair = cfg.require_pair()
-    o = cfg.options
+def cmd_robustness(args) -> int:
+    pair = _require_pair(args)
     rep = robustness_mc(
-        pair.C,
-        pair.P,
-        M=cfg.mass,
-        trials=o["trials"],
-        sigma=o["sigma"],
-        seed=cfg.seed,
+        pair.C, pair.P, M=args.mass, trials=args.trials, sigma=args.sigma, seed=args.seed
     )
-    out = cfg.ensure_out()
-    (out / "robustness.json").write_text(rep.to_json() + "\n")
-    rep.cloud_to_csv(out / "robustness_cloud.csv")
-    cfg.write_metadata(
-        "robustness",
-        {"pair": pair.label, "mass": cfg.mass, "trials": o["trials"], "sigma": o["sigma"]},
-    )
-    print(
-        f"{rep.unstable_count} of {rep.trials} trials unstable "
-        f"(sigma={rep.sigma:g}, seed={rep.seed})"
-    )
-    print(f"wrote {out / 'robustness.json'}")
-    return 0
+    return _emit_mc(args, rep, {"pair": pair.label, "mass": args.mass})
 
 
-def cmd_fragility(cfg: RunConfig) -> int:
-    pair = cfg.require_pair()
-    G = cfg.load_plant()
-    o = cfg.options
-    try:
-        rep = fragility_mc(
-            G,
-            pair.C,
-            pair.P,
-            trials=o["trials"],
-            sigma=o["sigma"],
-            seed=cfg.seed,
-        )
-    except ValueError as e:
-        raise UsageError(str(e)) from None
-    out = cfg.ensure_out()
-    (out / "fragility.json").write_text(rep.to_json() + "\n")
-    rep.cloud_to_csv(out / "fragility_cloud.csv")
-    cfg.write_metadata(
-        "fragility",
-        {"plant": cfg.plant, "pair": pair.label, "trials": o["trials"], "sigma": o["sigma"]},
+def cmd_fragility(args) -> int:
+    pair = _require_pair(args)
+    G = _load_plant(args)
+    rep = fragility_mc(
+        G, pair.C, pair.P, trials=args.trials, sigma=args.sigma, seed=args.seed
     )
-    print(
-        f"{rep.unstable_count} of {rep.trials} trials unstable "
-        f"(sigma={rep.sigma:g}, seed={rep.seed})"
-    )
-    print(f"wrote {out / 'fragility.json'}")
-    return 0
+    return _emit_mc(args, rep, {"plant": args.plant, "pair": pair.label})
 
 
-def cmd_modern(cfg: RunConfig) -> int:
-    ss = state_space(cfg.mass)
+def cmd_modern(args) -> int:
+    ss = state_space(args.mass)
     ctrl = controllability_matrix(ss)
     obs = observability_matrix(ss)
     print(f"controllability matrix (rank {ctrl.rank}):")
@@ -461,7 +381,7 @@ def cmd_modern(cfg: RunConfig) -> int:
     est_factor = Polynomial.from_roots(DEMO_ESTIMATOR_POLES)
     Q = remove_factor(raw, est_factor)
     print(f"closed loop with estimator dynamics removed: Q = {_tf_str(Q)}")
-    G = position_plant(M=cfg.mass)
+    G = position_plant(M=args.mass)
     for name, eq in (("K_b", equivalent_Kb(Q, G)), ("K_f", equivalent_Kf(Q, G))):
         print(f"equivalent single-loop compensator {name}:")
         print(f"  reduced: {_tf_str(eq.reduced)}")
@@ -510,8 +430,8 @@ def _positive_float(text: str) -> float:
         v = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not v > 0.0:
-        raise argparse.ArgumentTypeError("must be positive")
+    if not 0.0 < v < float("inf"):
+        raise argparse.ArgumentTypeError("must be positive and finite")
     return v
 
 
@@ -646,32 +566,12 @@ _HANDLERS = {
 }
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    consumed = {"command", "out", "plant", "pair", "pair_file", "mass", "seed"}
-    options = {k: v for k, v in vars(args).items() if k not in consumed}
-    out = args.out if args.out is not None else os.environ.get(OUT_ENV, ".")
-    return RunConfig(
-        command=args.command,
-        out_dir=Path(out),
-        plant=getattr(args, "plant", "pendulum-position"),
-        pair=getattr(args, "pair", None),
-        pair_file=getattr(args, "pair_file", None),
-        mass=args.mass,
-        seed=getattr(args, "seed", 0),
-        options=options,
-    )
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = _config_from_args(args)
     try:
-        return _HANDLERS[cfg.command](cfg)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
-        # library-level rejection of the inputs this invocation assembled
+        return _HANDLERS[args.command](args)
+    except (UsageError, ValueError) as e:
+        # bad flags, unreadable input, or a library-level rejection of them
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -92,6 +92,8 @@ class NoiseSpec:
         if not (self.amp_norm >= 0.0 and np.isfinite(self.amp_norm)):
             raise ValueError("amp_norm must be finite and nonnegative")
         lo, hi = self.freq_interval
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError("freq_interval must be finite")
         if not lo <= hi:
             raise ValueError("freq_interval must be nonempty")
 
@@ -147,8 +149,8 @@ def _sim_grid(t_end: float, dt: float, fastest: float):
     The step drops to REFINED_DT when the fastest pole magnitude times the
     requested step leaves the RK4 stability region.
     """
-    if t_end <= 0.0 or dt <= 0.0:
-        raise ValueError("t_end and dt must be positive")
+    if not (0.0 < t_end < np.inf and 0.0 < dt < np.inf):
+        raise ValueError("t_end and dt must be positive and finite")
     if dt >= t_end:
         raise ValueError("dt must be smaller than t_end")
     if fastest * dt > FAST_POLE_PRODUCT_LIMIT:

@@ -1,6 +1,11 @@
 """End-to-end command-line behavior: exit codes, files, determinism."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,6 +236,14 @@ class TestStep:
         assert "unstable" in err
         assert not (tmp_path / "out").exists()
 
+    def test_infinite_t_end_is_usage_error(self, capsys, tmp_path):
+        for command in ("step", "angle"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--t-end", "inf", "--out", str(tmp_path)])
+            assert exc.value.code == 2
+            assert "--t-end: must be positive and finite" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 class TestAngle:
     def test_angle_decays(self, capsys, tmp_path):
@@ -289,6 +302,13 @@ class TestNoise:
         assert set(data.dtype.names) == {"t", "e1", "e2", "e3", "e4", "e5", "e6"}
         assert len(data["t"]) == 500
         assert "per-channel peak" in out
+
+    def test_infinite_frequency_is_usage_error(self, capsys, tmp_path):
+        for flag in ("--freq-lo=-inf", "--freq-hi=inf"):
+            rc, _, err = run(capsys, "noise", "--pair", "b", flag, "--out", str(tmp_path))
+            assert rc == 2
+            assert err == "error: freq_interval must be finite\n"
+        assert not any(tmp_path.iterdir())
 
     def test_unstable_loop_is_analysis_failure(self, capsys, tmp_path):
         broken = write_pair_file(
@@ -393,3 +413,69 @@ class TestOutputDir:
         assert rc == 0
         assert (explicit / "step.csv").exists()
         assert not (tmp_path / "env").exists()
+
+
+# ---------------------------------------------------------------------------
+# pinned artifacts of scripts/reproduce_all.py
+# ---------------------------------------------------------------------------
+
+REPO = Path(__file__).resolve().parents[1]
+
+REPRODUCE_FILES = [
+    "angle_b/angle.csv",
+    "angle_b/angle_metadata.json",
+    "bode_e2_b/bode.csv",
+    "bode_e2_b/bode_metadata.json",
+    "bode_h_b/bode.csv",
+    "bode_h_b/bode_metadata.json",
+    "fragility_a/fragility.json",
+    "fragility_a/fragility_cloud.csv",
+    "fragility_a/fragility_metadata.json",
+    "fragility_b/fragility.json",
+    "fragility_b/fragility_cloud.csv",
+    "fragility_b/fragility_metadata.json",
+    "noise_b/noise.csv",
+    "noise_b/noise_metadata.json",
+    "robustness_a/robustness.json",
+    "robustness_a/robustness_cloud.csv",
+    "robustness_a/robustness_metadata.json",
+    "robustness_b/robustness.json",
+    "robustness_b/robustness_cloud.csv",
+    "robustness_b/robustness_metadata.json",
+    "step_a/step.csv",
+    "step_a/step_metadata.json",
+    "step_b/step.csv",
+    "step_b/step_metadata.json",
+]
+
+# SHA-256 over every artifact of `reproduce_all.py --skip-search` (metadata
+# parsed, timestamp dropped) and the script's stdout with the output root
+# removed; recorded before the CLI's output path was rewritten (Python
+# 3.11.7, numpy 2.4.6 with its bundled OpenBLAS); another LAPACK build may
+# round the pole clouds otherwise.
+REPRODUCE_SHA256 = "91e145f1aa1b5231033610d01648ac6c9c0bfb221786a6385b0496a8931a6023"
+
+
+def test_reproduce_artifacts_pinned(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "reproduce_all.py"),
+         "--skip-search", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    files = sorted(
+        p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()
+    )
+    assert files == REPRODUCE_FILES
+    h = hashlib.sha256()
+    for rel in files:
+        h.update(rel.encode() + b"\0")
+        data = (tmp_path / rel).read_bytes()
+        if rel.endswith("_metadata.json"):
+            meta = json.loads(data)
+            meta.pop("timestamp")
+            data = json.dumps(meta, sort_keys=True).encode()
+        h.update(data + b"\0")
+    h.update(proc.stdout.replace(str(tmp_path), "<out>").encode())
+    assert h.hexdigest() == REPRODUCE_SHA256

@@ -141,6 +141,9 @@ class TestStepResponse:
             step_response(tf, t_end=1.0, dt=1.0)
         with pytest.raises(ValueError):
             step_response(tf, t_end=-1.0, dt=1e-3)
+        for t_end, dt in ((np.inf, 1e-3), (1.0, np.inf), (np.nan, 1e-3), (1.0, np.nan)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                step_response(tf, t_end=t_end, dt=dt)
 
     @given(
         roots=st.lists(stable_root(re_max=-0.3), min_size=1, max_size=3, unique=True),
@@ -373,3 +376,6 @@ class TestNoiseSpecValidation:
             NoiseSpec(amp_norm=-0.1)
         with pytest.raises(ValueError):
             NoiseSpec(freq_interval=(2.0, 1.0))
+        for interval in ((-np.inf, 1.5), (0.5, np.inf), (np.nan, 1.5)):
+            with pytest.raises(ValueError, match="finite"):
+                NoiseSpec(freq_interval=interval)
