@@ -176,10 +176,6 @@ class McReport:
         if self.unstable_count > self.trials:
             raise ValueError("unstable_count cannot exceed trials")
 
-    @property
-    def unstable_fraction(self) -> float:
-        return self.unstable_count / self.trials
-
     def to_json_dict(self) -> dict:
         return {
             "trials": self.trials,
@@ -208,13 +204,13 @@ def _mc_study(
     """Seeded trial loop shared by both studies.
 
     Each trial maps ``draws`` N(0, sigma) numbers to a perturbed loop
-    denominator; a trial with any root in the open right half plane counts
-    as unstable.
+    denominator; a trial with any root in the closed right half plane, the
+    imaginary axis included, counts as unstable.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if sigma < 0.0:
-        raise ValueError("sigma must be nonnegative")
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError("sigma must be finite and nonnegative")
     # substream keyed by (seed, trial) so trial order, serial or parallel,
     # cannot change any draw
     dens = [
@@ -224,7 +220,7 @@ def _mc_study(
     cloud: list[tuple[int, complex]] = []
     unstable = 0
     for trial, poles in enumerate(roots_batch(dens)):
-        if np.any(poles.real > 0.0):
+        if not np.all(poles.real < 0.0):
             unstable += 1
         cloud.extend((trial, complex(z)) for z in poles)
     return McReport(
@@ -249,7 +245,7 @@ def robustness_mc(
     Each trial scales the four physical plant coefficients by independent
     (1 + N(0, sigma)) factors, rebuilds the position plant, and checks the
     closed-loop poles under the fixed pair.  A trial with any pole in the
-    open right half plane counts as unstable.
+    closed right half plane counts as unstable.
     """
 
     def trial_den(r: np.ndarray) -> Polynomial:

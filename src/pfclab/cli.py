@@ -5,9 +5,10 @@ built-in pairs, fresh synthesis runs, time/frequency response emitters, the
 Monte Carlo studies, and the observer-based design walkthrough.  All but
 verify and modern, which only print, write plot-ready CSV/JSON plus a small
 metadata file; nothing renders images.  Every command takes --out and
---mass; --plant is taken by all but angle, robustness and modern, --pair and
---pair-file by all but synthesize and modern, --seed by synthesize, noise,
-robustness and fragility.
+--mass (verify and modern accept --out and write nothing, so one command
+line can pass it to every command); --plant is taken by all but angle,
+robustness and modern, --pair and --pair-file by all but synthesize and
+modern, --seed by synthesize, noise, robustness and fragility.
 
 Exit codes: 0 all checks passed or data written, 1 an analysis reached a
 negative verdict (verification failed, no stabilizing pair found, unstable
@@ -39,7 +40,7 @@ from .modern import (
     remove_factor,
     ss_to_tf,
 )
-from .plant import angle_plant, position_plant, state_space
+from .plant import PendulumParams, angle_plant, linear_plant, position_plant
 from .poly import Polynomial
 from .sim import NoiseSpec, angle_step_response, noise_time_response, step_response
 from .synth import GaConfig, ObjectiveConfig, ga_search, verify_pair
@@ -317,6 +318,8 @@ def cmd_bode(args) -> int:
 
 
 def cmd_noise(args) -> int:
+    if args.dt >= args.t_end:
+        raise UsageError("dt must be smaller than t_end")
     pair = _require_pair(args)
     G = _load_plant(args)
     chans = noise_channels(G, pair.C, pair.P)
@@ -366,7 +369,7 @@ def cmd_fragility(args) -> int:
 
 
 def cmd_modern(args) -> int:
-    ss = state_space(args.mass)
+    ss = linear_plant(PendulumParams(M=args.mass))
     ctrl = controllability_matrix(ss)
     obs = observability_matrix(ss)
     print(f"controllability matrix (rank {ctrl.rank}):")
@@ -377,7 +380,7 @@ def cmd_modern(args) -> int:
     print(f"state feedback gain K = {_matrix_str(gains.K)}")
     print(f"estimator gain G = {_matrix_str(gains.Gobs.T)}^T")
     comb = combined_system(ss, gains)
-    raw = ss_to_tf(comb.Atil, comb.Btil, comb.Ctil)
+    raw = ss_to_tf(comb.A, comb.B, comb.C)
     est_factor = Polynomial.from_roots(DEMO_ESTIMATOR_POLES)
     Q = remove_factor(raw, est_factor)
     print(f"closed loop with estimator dynamics removed: Q = {_tf_str(Q)}")

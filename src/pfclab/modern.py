@@ -19,6 +19,8 @@ from .tf import RationalTF
 
 RANK_TOL = 1e-9
 FACTOR_MATCH_TOL = 1e-6
+DIVISION_TOL = 1e-9  # relative remainder bound in `remove_factor`
+DUST_TOL = 1e-12  # relative size of coefficient dust in `ss_to_tf`
 
 
 @dataclass(frozen=True)
@@ -33,15 +35,6 @@ class GainMatrices:
 
     K: np.ndarray  # 1 x n
     Gobs: np.ndarray  # n x 1
-
-
-@dataclass(frozen=True)
-class CombinedSystem:
-    """Plant driven through its own state estimator, stacked as one system."""
-
-    Atil: np.ndarray  # 2n x 2n
-    Btil: np.ndarray  # 2n x 1
-    Ctil: np.ndarray  # 1 x 2n
 
 
 def _match_distance(got, want) -> float:
@@ -64,25 +57,23 @@ def _rank(m: np.ndarray) -> int:
     return int(np.sum(sv > RANK_TOL * sv[0]))
 
 
+def _krylov(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Columns [v | A v | ... | A^(n-1) v] for an n x n matrix A."""
+    cols = [v]
+    for _ in range(A.shape[0] - 1):
+        cols.append(A @ cols[-1])
+    return np.hstack(cols)
+
+
 def controllability_matrix(ss: StateSpace) -> RankedMatrix:
     """Columns [A^3 B | A^2 B | A B | B], highest power leftmost."""
-    A, B = ss.A, ss.B
-    n = A.shape[0]
-    cols = [B]
-    for _ in range(n - 1):
-        cols.append(A @ cols[-1])
-    m = np.hstack(cols[::-1])
+    m = _krylov(ss.A, ss.B)[:, ::-1]
     return RankedMatrix(matrix=m, rank=_rank(m))
 
 
 def observability_matrix(ss: StateSpace) -> RankedMatrix:
-    """Rows [C A^3; C A^2; C A; C], highest power on top."""
-    A, C = ss.A, ss.C
-    n = A.shape[0]
-    rows = [C]
-    for _ in range(n - 1):
-        rows.append(rows[-1] @ A)
-    m = np.vstack(rows[::-1])
+    """Rows [C A^3; C A^2; C A; C], highest power on top: the dual pair's Krylov columns."""
+    m = _krylov(ss.A.T, ss.C.T)[:, ::-1].T
     return RankedMatrix(matrix=m, rank=_rank(m))
 
 
@@ -99,10 +90,7 @@ def place_poles(A: np.ndarray, B: np.ndarray, desired) -> np.ndarray:
         raise ValueError(f"need exactly {n} desired poles, got {len(desired)}")
     phi = Polynomial.from_roots(desired)  # rejects non-conjugate-closed sets
 
-    cols = [B]
-    for _ in range(n - 1):
-        cols.append(A @ cols[-1])
-    ctrl = np.hstack(cols)
+    ctrl = _krylov(A, B)
     if _rank(ctrl) < n:
         raise ValueError("pair (A, B) is not controllable")
 
@@ -127,7 +115,7 @@ def gain_design(ss: StateSpace, system_poles, estimator_poles) -> GainMatrices:
     return GainMatrices(K=K, Gobs=Gobs)
 
 
-def combined_system(ss: StateSpace, gains: GainMatrices) -> CombinedSystem:
+def combined_system(ss: StateSpace, gains: GainMatrices) -> StateSpace:
     """Stack true state over estimated state.
 
     The true state evolves under A with input -K xhat + u; the estimate adds
@@ -137,10 +125,11 @@ def combined_system(ss: StateSpace, gains: GainMatrices) -> CombinedSystem:
     A, B, C = ss.A, ss.B, ss.C
     K, G = gains.K, gains.Gobs
     n = A.shape[0]
-    Atil = np.block([[A, -B @ K], [G @ C, A - B @ K - G @ C]])
-    Btil = np.vstack([B, B])
-    Ctil = np.hstack([C, np.zeros((1, n))])
-    return CombinedSystem(Atil=Atil, Btil=Btil, Ctil=Ctil)
+    return StateSpace(
+        A=np.block([[A, -B @ K], [G @ C, A - B @ K - G @ C]]),
+        B=np.vstack([B, B]),
+        C=np.hstack([C, np.zeros((1, n))]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +141,8 @@ def ss_to_tf(A: np.ndarray, B: np.ndarray, C: np.ndarray, D: float = 0.0) -> Rat
     """Transfer function C (sI - A)^-1 B + D by the Leverrier-Faddeev recurrence.
 
     No pole-zero cancellation is performed; the denominator is the full
-    characteristic polynomial (monic).  Coefficients smaller than 1e-12 of
-    the largest in their polynomial are structured zeros of the recurrence
+    characteristic polynomial (monic).  Coefficients smaller than DUST_TOL
+    of the largest in their polynomial are structured zeros of the recurrence
     carrying float dust and are snapped to exact zero.
     """
     A = np.asarray(A, dtype=float)
@@ -180,15 +169,15 @@ def ss_to_tf(A: np.ndarray, B: np.ndarray, C: np.ndarray, D: float = 0.0) -> Rat
     return RationalTF(num_poly, Polynomial(den))
 
 
-def _snap_dust(coeffs, rel: float = 1e-12):
+def _snap_dust(coeffs):
     c = np.array(coeffs, dtype=float)
     if c.size:
-        c[np.abs(c) < rel * np.max(np.abs(c))] = 0.0
+        c[np.abs(c) < DUST_TOL * np.max(np.abs(c))] = 0.0
     return c
 
 
-def common_factors(tf: RationalTF, tol: float = FACTOR_MATCH_TOL) -> tuple[complex, ...]:
-    """Roots shared by numerator and denominator, matched within tol.
+def common_factors(tf: RationalTF) -> tuple[complex, ...]:
+    """Roots shared by numerator and denominator, matched within FACTOR_MATCH_TOL.
 
     Report only; nothing is cancelled.  Each denominator root can absorb at
     most one numerator root.
@@ -201,12 +190,12 @@ def common_factors(tf: RationalTF, tol: float = FACTOR_MATCH_TOL) -> tuple[compl
         if not pool:
             break
         j = int(np.argmin([abs(z - p) for p in pool]))
-        if abs(z - pool[j]) <= tol * (1.0 + abs(z)):
+        if abs(z - pool[j]) <= FACTOR_MATCH_TOL * (1.0 + abs(z)):
             shared.append(pool.pop(j))
     return tuple(shared)
 
 
-def remove_factor(tf: RationalTF, factor: Polynomial, rel_tol: float = 1e-9) -> RationalTF:
+def remove_factor(tf: RationalTF, factor: Polynomial) -> RationalTF:
     """Divide numerator and denominator by a structurally known factor.
 
     Exact polynomial division with a remainder check; root matching cannot
@@ -218,7 +207,7 @@ def remove_factor(tf: RationalTF, factor: Polynomial, rel_tol: float = 1e-9) -> 
         q, r = divmod(poly, factor)
         r_norm = max((abs(c) for c in r.coeffs), default=0.0)
         scale = max(abs(c) for c in poly.coeffs)
-        if r_norm > rel_tol * max(scale, 1.0):
+        if r_norm > DIVISION_TOL * max(scale, 1.0):
             raise ValueError("factor does not divide both sides of the transfer function")
         out.append(q)
     return RationalTF(out[0], out[1])

@@ -1,4 +1,4 @@
-"""Inverted pendulum on a cart: linear plants, nonlinear dynamics, scaling.
+"""Inverted pendulum on a cart: linear plants and nonlinear dynamics.
 
 All quantities are nondimensional unless stated otherwise: lengths in units
 of the pendulum length, time in units of sqrt(L/g), masses in units of the
@@ -9,7 +9,7 @@ value is M = 0.3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -54,25 +54,16 @@ class PerturbedPlantParams:
 
 @dataclass
 class StateSpace:
-    """Linear pendulum-cart model, state ordering (x, theta, xdot, thetadot)."""
+    """State-space model x' = A x + B u, y = C x + D u with one input and output."""
 
-    A: np.ndarray  # 4x4
-    B: np.ndarray  # 4x1
-    C: np.ndarray  # 1x4
+    A: np.ndarray  # n x n
+    B: np.ndarray  # n x 1
+    C: np.ndarray  # 1 x n
+    D: float = 0.0
 
-
-class NonlinearState(NamedTuple):
-    x: float
-    theta: float
-    xdot: float
-    thetadot: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self)
-
-    @classmethod
-    def from_array(cls, a) -> "NonlinearState":
-        return cls(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
+    @property
+    def order(self) -> int:
+        return self.A.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +97,8 @@ def linear_plant(params: PendulumParams) -> StateSpace:
     """Small-angle model about the upright equilibrium.
 
     xddot = (u - m*g*theta)/M and thetaddot = ((M+m)*g*theta - u)/(M*L),
-    written in first-order form with output the cart position.
+    written in first-order form, state (x, theta, xdot, thetadot), with
+    output the cart position.
     """
     M, L, m, g = params.M, params.L, params.m, params.g
     A = np.array(
@@ -122,13 +114,6 @@ def linear_plant(params: PendulumParams) -> StateSpace:
     return StateSpace(A=A, B=B, C=C)
 
 
-def state_space(M: float = 0.3) -> StateSpace:
-    """:func:`linear_plant` of the nondimensional benchmark with cart mass M."""
-    if M <= 0.0:
-        raise ValueError("cart mass must be strictly positive")
-    return linear_plant(PendulumParams(M=M))
-
-
 # ---------------------------------------------------------------------------
 # nonlinear dynamics
 # ---------------------------------------------------------------------------
@@ -139,7 +124,7 @@ def nonlinear_derivatives(
 ) -> tuple[float, float, float, float]:
     """State derivative (xdot, thetadot, xddot, thetaddot) of the full model.
 
-    ``st`` is any (x, theta, xdot, thetadot) sequence, e.g. a NonlinearState.
+    ``st`` is any (x, theta, xdot, thetadot) sequence.
 
     Momentum balance couples the two accelerations:
 
@@ -158,42 +143,3 @@ def nonlinear_derivatives(
     xddot = (p.L * rhs1 - p.m * p.L * cos_t * rhs2) / det
     thetaddot = (-cos_t * rhs1 + (p.M + p.m) * rhs2) / det
     return (xdot, thetadot, float(xddot), float(thetaddot))
-
-
-def total_energy(st: NonlinearState, p: PendulumParams = PendulumParams()) -> float:
-    """Cart kinetic + bob kinetic + bob potential energy (zero input invariant)."""
-    cart = 0.5 * p.M * st.xdot**2
-    bob = 0.5 * p.m * (
-        st.xdot**2
-        + 2.0 * p.L * st.xdot * st.thetadot * np.cos(st.theta)
-        + (p.L * st.thetadot) ** 2
-    )
-    potential = p.m * p.g * p.L * np.cos(st.theta)
-    return float(cart + bob + potential)
-
-
-# ---------------------------------------------------------------------------
-# scaling
-# ---------------------------------------------------------------------------
-
-
-def nondimensionalize(
-    x_phys: float, t_phys: float, M_phys: float, m: float, L: float, g: float
-) -> tuple[float, float, float]:
-    """Map physical (position, time, cart mass) to nondimensional units.
-
-    x in pendulum lengths, time in units of sqrt(L/g), cart mass in bob
-    masses.
-    """
-    if m <= 0.0 or L <= 0.0 or g <= 0.0:
-        raise ValueError("m, L and g must be strictly positive")
-    return (x_phys / L, t_phys * np.sqrt(g / L), M_phys / m)
-
-
-def dimensionalize(
-    x_nd: float, t_nd: float, M_nd: float, m: float, L: float, g: float
-) -> tuple[float, float, float]:
-    """Inverse of :func:`nondimensionalize`."""
-    if m <= 0.0 or L <= 0.0 or g <= 0.0:
-        raise ValueError("m, L and g must be strictly positive")
-    return (x_nd * L, t_nd / np.sqrt(g / L), M_nd * m)

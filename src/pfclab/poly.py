@@ -16,6 +16,10 @@ import numpy as np
 # Tolerance for pairing a root with its conjugate during symmetrization.
 CONJUGATE_TOL = 1e-6
 
+# Newton steps per root at most: simple roots converge in one step,
+# clustered roots improve linearly.
+NEWTON_STEPS = 12
+
 # Rows per Newton block in `roots_batch`: a block's temporaries stay near a
 # megabyte at degree 10, whatever the batch size.
 NEWTON_ROWS = 256
@@ -44,21 +48,16 @@ class Polynomial:
         object.__setattr__(self, "coeffs", tuple(c[:n]))
 
     @classmethod
-    def from_roots(
-        cls,
-        roots: Sequence[complex],
-        leading: float = 1.0,
-        tol: float = CONJUGATE_TOL,
-    ) -> "Polynomial":
-        """Monic-times-``leading`` polynomial with the given roots.
+    def from_roots(cls, roots: Sequence[complex]) -> "Polynomial":
+        """Monic polynomial with the given roots.
 
-        The root list must be closed under conjugation within ``tol``;
+        The root list must be closed under conjugation within CONJUGATE_TOL;
         conjugate pairs are folded into real quadratic factors so the result
         has exactly real coefficients.
         """
-        p = cls((float(leading),))
+        p = cls((1.0,))
         s = cls((0.0, 1.0))
-        for z, paired in _pair_conjugates([complex(r) for r in roots], tol):
+        for z, paired in _pair_conjugates([complex(r) for r in roots]):
             if paired:
                 # modulus squared without the hypot round trip, exact for exact inputs
                 p = p * cls((z.real * z.real + z.imag * z.imag, -2.0 * z.real, 1.0))
@@ -156,12 +155,6 @@ class Polynomial:
         """
         return roots_batch([self])[0]
 
-    def rightmost_real_part(self) -> float:
-        """Largest real part over all roots."""
-        if self.degree < 1:
-            raise ValueError("rightmost real part needs at least one root")
-        return float(np.max(self.roots().real))
-
     def is_hurwitz(self) -> bool:
         """True iff every root lies strictly in the open left half plane.
 
@@ -230,18 +223,17 @@ def roots_batch(polys: Sequence[Polynomial]) -> list[np.ndarray]:
         ])
         for (i, n_zero), row in zip(rows, z):
             found = [0j] * n_zero
-            for r, paired in _pair_conjugates(row.tolist(), CONJUGATE_TOL):
+            for r, paired in _pair_conjugates(row.tolist()):
                 found.extend((r, r.conjugate()) if paired else (r,))
             out[i] = np.sort_complex(np.asarray(found, dtype=complex))
     return out
 
 
-def _newton(c: np.ndarray, raw: np.ndarray, max_steps: int = 12) -> np.ndarray:
+def _newton(c: np.ndarray, raw: np.ndarray) -> np.ndarray:
     """Newton refinement of each row's eigenvalues ``raw`` with an improvement guard.
 
     Each root takes Newton steps while its residual keeps dropping, at most
-    ``max_steps``: simple roots converge in one step, clustered roots
-    improve linearly.  The arithmetic is the scalar complex arithmetic of
+    NEWTON_STEPS.  The arithmetic is the scalar complex arithmetic of
     CPython spelled out on real and imaginary float64 arrays, so a row gets
     the same bits alone or in any batch.  A row whose eigenvalues are all
     real stays in real arithmetic, as a single eigenvalue call returns them.
@@ -259,7 +251,7 @@ def _newton(c: np.ndarray, raw: np.ndarray, max_steps: int = 12) -> np.ndarray:
         pr, pi = _horner(c_hi, zr, zi)
         fr = np.hypot(pr, pi)
         live = np.ones(zr.shape, dtype=bool)
-        for _ in range(max_steps):
+        for _ in range(NEWTON_STEPS):
             dr, di = _horner(dc_hi, zr, zi)
             live &= (dr != 0.0) | (di != 0.0)
             qr, qi = _cdiv(pr, pi, dr, di)
@@ -307,13 +299,14 @@ def _cdiv(ar, ai, br, bi):
     return qr, qi
 
 
-def _pair_conjugates(roots: Sequence[complex], tol: float) -> list[tuple[complex, bool]]:
+def _pair_conjugates(roots: Sequence[complex]) -> list[tuple[complex, bool]]:
     """In-order nearest-conjugate pairing, one ``(z, paired)`` per group.
 
     A near-real root comes back snapped to the real axis, a conjugate pair
     as its average z (the partner being conj(z)), and a non-real root with
-    no partner within ``tol`` as itself, unpaired.
+    no partner within CONJUGATE_TOL as itself, unpaired.
     """
+    tol = CONJUGATE_TOL
     rts = list(roots)
     used = [False] * len(rts)
     out: list[tuple[complex, bool]] = []

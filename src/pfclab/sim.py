@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .plant import PendulumParams, linear_plant, nonlinear_derivatives
+from .plant import PendulumParams, StateSpace, linear_plant, nonlinear_derivatives
 from .poly import Polynomial
 from .tf import NoiseChannelSet, RationalTF, angular_closed_loop
 
@@ -32,20 +32,6 @@ class TrajectoryDiverged(RuntimeError):
     def __init__(self, t_reached: float):
         super().__init__("trajectory diverged")
         self.t_reached = t_reached
-
-
-@dataclass
-class Realization:
-    """Controllable canonical form (A, B, C, D) of a proper transfer function."""
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: float
-
-    @property
-    def order(self) -> int:
-        return self.A.shape[0]
 
 
 @dataclass
@@ -70,11 +56,6 @@ class TimeSeries:
             comments="",
             fmt="%.17g",
         )
-
-    @classmethod
-    def from_csv(cls, path) -> "TimeSeries":
-        data = np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=1))
-        return cls(t=data[:, 0], y=data[:, 1])
 
 
 @dataclass(frozen=True)
@@ -103,8 +84,8 @@ class NoiseSpec:
 # ---------------------------------------------------------------------------
 
 
-def realize(tf: RationalTF) -> Realization:
-    """Controllable canonical form with the denominator made monic first."""
+def realize(tf: RationalTF) -> StateSpace:
+    """Controllable canonical form (A, B, C, D) with the denominator made monic first."""
     if not tf.is_proper:
         raise ValueError(
             "improper transfer function has no state-space realization with scalar D"
@@ -124,7 +105,7 @@ def realize(tf: RationalTF) -> Realization:
     C = np.zeros((1, n))
     if not r.is_zero:
         C[0, : len(r.coeffs)] = r.coeffs
-    return Realization(A=A, B=B, C=C, D=float(d))
+    return StateSpace(A=A, B=B, C=C, D=float(d))
 
 
 def _rk4_maps(A: np.ndarray, B: np.ndarray, h: float):

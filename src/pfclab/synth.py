@@ -213,11 +213,13 @@ class GaConfig:
             r = getattr(self, name)
             if not 0.0 <= r <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.mutation_scale < 0.0:
-            raise ValueError("mutation_scale must be nonnegative")
+        if not (math.isfinite(self.mutation_scale) and self.mutation_scale >= 0.0):
+            raise ValueError("mutation_scale must be finite and nonnegative")
         if not 0 <= self.elitism < self.population:
             raise ValueError("elitism must lie in [0, population)")
         lo, hi = self.init_range
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("init_range ends must be finite")
         if not lo < hi:
             raise ValueError("init_range must be a nonempty interval")
         if self.seed < 0:

@@ -14,7 +14,6 @@ modes, so numerators and denominators are kept as constructed.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -114,13 +113,6 @@ class RationalTF:
             coeffs[key] = entry
         return cls(**coeffs)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "RationalTF":
-        return cls.from_json_dict(json.loads(text))
-
 
 @dataclass(frozen=True)
 class CompensatorPair:
@@ -166,10 +158,6 @@ class StabilizabilityVerdict:
 
     strongly_stabilizable: bool
     checks: tuple[tuple[float, int], ...]
-
-    @property
-    def offending(self) -> tuple[tuple[float, int], ...]:
-        return tuple((z, c) for z, c in self.checks if c % 2 == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +221,7 @@ def angular_closed_loop(
 # ---------------------------------------------------------------------------
 
 
-def pip_check(G: RationalTF, tol: float = PIP_TOL) -> StabilizabilityVerdict:
+def pip_check(G: RationalTF) -> StabilizabilityVerdict:
     """Parity interlacing test: can any *stable* compensator stabilize G?
 
     G is strongly stabilizable iff between every two consecutive real zeros
@@ -249,7 +237,7 @@ def pip_check(G: RationalTF, tol: float = PIP_TOL) -> StabilizabilityVerdict:
         keep = [
             float(r.real)
             for r in arr
-            if r.real > -tol and abs(r.imag) <= tol * (1.0 + abs(r))
+            if r.real > -PIP_TOL and abs(r.imag) <= PIP_TOL * (1.0 + abs(r))
         ]
         return sorted(keep)
 
@@ -311,47 +299,3 @@ def series(a: RationalTF, b: RationalTF) -> RationalTF:
     if den.is_zero:
         raise ValueError("degenerate composition: denominator vanished")
     return RationalTF(a.num * b.num, den)
-
-
-def parallel(a: RationalTF, b: RationalTF) -> RationalTF:
-    den = a.den * b.den
-    if den.is_zero:
-        raise ValueError("degenerate composition: denominator vanished")
-    return RationalTF(a.num * b.den + b.num * a.den, den)
-
-
-def feedback(fwd: RationalTF, fb: RationalTF) -> RationalTF:
-    """Negative feedback loop fwd / (1 + fwd*fb), exact polynomials."""
-    den = fwd.den * fb.den + fwd.num * fb.num
-    if den.is_zero:
-        raise ValueError("degenerate loop: denominator vanished")
-    return RationalTF(fwd.num * fb.den, den)
-
-
-def constant(c: float) -> RationalTF:
-    return RationalTF((float(c),), (1.0,))
-
-
-def tf_equal_up_to_scale(
-    a: RationalTF, b: RationalTF, rtol: float = 1e-9
-) -> bool:
-    """Equality of a and b as rational functions: cross-multiplied match.
-
-    Compares num_a*den_b against num_b*den_a up to one scalar factor, which
-    makes the test insensitive to unreduced common polynomial factors on
-    either side.
-    """
-    lhs = (a.num * b.den).coeffs
-    rhs = (b.num * a.den).coeffs
-    la = np.asarray(lhs)
-    rb = np.asarray(rhs)
-    if np.all(la == 0.0) and np.all(rb == 0.0):
-        return True
-    if len(la) != len(rb):
-        return False
-    ia = int(np.argmax(np.abs(la)))
-    if rb[ia] == 0.0:
-        return False
-    scale = la[ia] / rb[ia]
-    tol = rtol * max(np.max(np.abs(la)), np.max(np.abs(rb)) * abs(scale))
-    return bool(np.max(np.abs(la - scale * rb)) <= tol)

@@ -1,11 +1,14 @@
-"""Shared strategies and comparison helpers for the test suite."""
+"""Shared strategies, comparison helpers and reference functions for the test suite."""
 
 import hashlib
 
 import numpy as np
 from hypothesis import strategies as st
 
+from pfclab.plant import PendulumParams
 from pfclab.poly import Polynomial
+from pfclab.tf import RationalTF
+
 
 def stable_root(re_max=-0.05):
     """Strategy for one left-half-plane root (real, or upper-half complex).
@@ -100,3 +103,69 @@ def array_digest(arrays):
         h.update(np.int64(r.size).tobytes())
         h.update(r.tobytes())
     return h.hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# reference block algebra and model quantities
+# ---------------------------------------------------------------------------
+
+
+def rightmost_real_part(p: Polynomial) -> float:
+    """Largest real part over all roots of p."""
+    if p.degree < 1:
+        raise ValueError("rightmost real part needs at least one root")
+    return float(np.max(p.roots().real))
+
+
+def constant(c: float) -> RationalTF:
+    return RationalTF((float(c),), (1.0,))
+
+
+def parallel(a: RationalTF, b: RationalTF) -> RationalTF:
+    den = a.den * b.den
+    if den.is_zero:
+        raise ValueError("degenerate composition: denominator vanished")
+    return RationalTF(a.num * b.den + b.num * a.den, den)
+
+
+def feedback(fwd: RationalTF, fb: RationalTF) -> RationalTF:
+    """Negative feedback loop fwd / (1 + fwd*fb), exact polynomials."""
+    den = fwd.den * fb.den + fwd.num * fb.num
+    if den.is_zero:
+        raise ValueError("degenerate loop: denominator vanished")
+    return RationalTF(fwd.num * fb.den, den)
+
+
+def tf_equal_up_to_scale(a: RationalTF, b: RationalTF, rtol: float = 1e-9) -> bool:
+    """Equality of a and b as rational functions: cross-multiplied match.
+
+    Compares num_a*den_b against num_b*den_a up to one scalar factor, which
+    makes the test insensitive to unreduced common polynomial factors on
+    either side.
+    """
+    la = np.asarray((a.num * b.den).coeffs)
+    rb = np.asarray((b.num * a.den).coeffs)
+    if np.all(la == 0.0) and np.all(rb == 0.0):
+        return True
+    if len(la) != len(rb):
+        return False
+    ia = int(np.argmax(np.abs(la)))
+    if rb[ia] == 0.0:
+        return False
+    scale = la[ia] / rb[ia]
+    tol = rtol * max(np.max(np.abs(la)), np.max(np.abs(rb)) * abs(scale))
+    return bool(np.max(np.abs(la - scale * rb)) <= tol)
+
+
+def total_energy(st, p: PendulumParams = PendulumParams()) -> float:
+    """Cart kinetic + bob kinetic + bob potential energy of the state
+    (x, theta, xdot, thetadot); invariant under zero input."""
+    _, theta, xdot, thetadot = st
+    cart = 0.5 * p.M * xdot**2
+    bob = 0.5 * p.m * (
+        xdot**2
+        + 2.0 * p.L * xdot * thetadot * np.cos(theta)
+        + (p.L * thetadot) ** 2
+    )
+    potential = p.m * p.g * p.L * np.cos(theta)
+    return float(cart + bob + potential)

@@ -16,6 +16,7 @@ from pfclab.analysis import (
 )
 from pfclab.designs import ANGLE_DEMO_COMPENSATOR, PAIR_A, PAIR_B
 from pfclab.plant import angle_plant, position_plant
+from pfclab.synth import verify_pair
 from pfclab.tf import CompensatorPair, RationalTF, noise_channels
 
 from helpers import array_digest
@@ -213,7 +214,7 @@ class TestRobustnessMc:
         for t, z in rep.pole_cloud:
             by_trial.setdefault(t, []).append(z)
         rederived = sum(
-            1 for zs in by_trial.values() if any(z.real > 0 for z in zs)
+            1 for zs in by_trial.values() if not all(z.real < 0 for z in zs)
         )
         assert rederived == rep.unstable_count
 
@@ -229,6 +230,11 @@ class TestRobustnessMc:
             robustness_mc(PAIR_B.C, PAIR_B.P, trials=0)
         with pytest.raises(ValueError, match="sigma"):
             robustness_mc(PAIR_B.C, PAIR_B.P, trials=10, sigma=-0.1)
+        for sigma in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="sigma must be finite"):
+                robustness_mc(PAIR_B.C, PAIR_B.P, trials=10, sigma=sigma)
+            with pytest.raises(ValueError, match="sigma must be finite"):
+                fragility_mc(G_PEND, PAIR_B.C, PAIR_B.P, trials=10, sigma=sigma)
 
 
 class TestFragilityMc:
@@ -243,6 +249,16 @@ class TestFragilityMc:
     def test_pair_b_count_band(self):
         rep = fragility_mc(G_PEND, PAIR_B.C, PAIR_B.P, trials=1000, seed=0)
         assert 10 <= rep.unstable_count <= 70
+
+    def test_pole_on_axis_counts_unstable(self):
+        # G = s/(s+1), C = 1/(s+1), P = -1/(s+1): loop denominator
+        # s^3 + 4s^2 + 3s has a pole exactly at the origin
+        G = RationalTF((0.0, 1.0), (1.0, 1.0))
+        C = RationalTF((1.0,), (1.0, 1.0))
+        P = RationalTF((-1.0,), (1.0, 1.0))
+        assert not verify_pair(G, CompensatorPair(C, P)).closed_loop_stable
+        rep = fragility_mc(G, C, P, trials=3, sigma=0.0)
+        assert rep.unstable_count == 3
 
     def test_requires_normalized_denominators(self):
         C = RationalTF((1.0,), (2.0, 1.0))  # constant term 2
@@ -308,9 +324,3 @@ class TestMcReport:
         assert got["im"].tolist() == pytest.approx(
             [z.imag for _, z in rep.pole_cloud]
         )
-
-    def test_unstable_fraction(self):
-        rep = McReport(
-            trials=4, unstable_count=1, pole_cloud=(), seed=0, sigma=0.1
-        )
-        assert rep.unstable_fraction == 0.25

@@ -188,6 +188,18 @@ class TestSynthesize:
         assert rc == 2
         assert "population" in err
 
+    def test_nonfinite_ga_flags(self, capsys, tmp_path):
+        for flags, field in (
+            (["--mutation-rate", "1", "--mutation-scale", "inf"], "mutation_scale"),
+            (["--init-range", " -inf", "1"], "init_range"),
+        ):
+            rc, _, err = run(
+                capsys, "synthesize", "--n", "1", *flags, "--out", str(tmp_path)
+            )
+            assert rc == 2
+            assert err.startswith("error: " + field)
+        assert not any(tmp_path.iterdir())
+
 
 # ---------------------------------------------------------------------------
 # response emitters
@@ -310,6 +322,13 @@ class TestNoise:
             assert err == "error: freq_interval must be finite\n"
         assert not any(tmp_path.iterdir())
 
+    def test_dt_not_below_t_end_is_usage_error(self, capsys, tmp_path):
+        for argv in (["--dt", "300"], ["--t-end", "1", "--dt", "1"]):
+            rc, _, err = run(capsys, "noise", "--pair", "b", *argv, "--out", str(tmp_path))
+            assert rc == 2
+            assert err == "error: dt must be smaller than t_end\n"
+        assert not any(tmp_path.iterdir())
+
     def test_unstable_loop_is_analysis_failure(self, capsys, tmp_path):
         broken = write_pair_file(
             tmp_path / "broken.json", [1.0], [-1.0, 1.0], [0.0], [1.0]
@@ -372,6 +391,17 @@ class TestMonteCarlo:
         )
         assert rc == 2
         assert "normalized" in err
+
+    def test_nonfinite_sigma_is_usage_error(self, capsys, tmp_path):
+        for command in ("robustness", "fragility"):
+            for sigma in ("nan", "inf"):
+                rc, _, err = run(
+                    capsys, command, "--pair", "b", "--sigma", sigma,
+                    "--out", str(tmp_path),
+                )
+                assert rc == 2
+                assert err == "error: sigma must be finite and nonnegative\n"
+        assert not any(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pfclab.modern import (
-    CombinedSystem,
     GainMatrices,
     combined_system,
     common_factors,
@@ -16,14 +15,20 @@ from pfclab.modern import (
     remove_factor,
     ss_to_tf,
 )
-from pfclab.plant import StateSpace, position_plant, state_space
+from pfclab.plant import PendulumParams, StateSpace, linear_plant, position_plant
 from pfclab.poly import Polynomial
 from pfclab.sim import realize
-from pfclab.tf import RationalTF, tf_equal_up_to_scale
+from pfclab.tf import RationalTF
 
-from helpers import expand_conjugates, match_error, separated, stable_root
+from helpers import (
+    expand_conjugates,
+    match_error,
+    separated,
+    stable_root,
+    tf_equal_up_to_scale,
+)
 
-SS = state_space(0.3)
+SS = linear_plant(PendulumParams(M=0.3))
 SYS_POLES = [-1 + 1j, -1 - 1j, -2 + 1j, -2 - 1j]
 EST_POLES = [-1.0, -2.0, -3 + 1j, -3 - 1j]
 
@@ -31,7 +36,7 @@ EST_POLES = [-1.0, -2.0, -3 + 1j, -3 - 1j]
 def pendulum_q():
     gains = gain_design(SS, SYS_POLES, EST_POLES)
     comb = combined_system(SS, gains)
-    raw = ss_to_tf(comb.Atil, comb.Btil, comb.Ctil)
+    raw = ss_to_tf(comb.A, comb.B, comb.C)
     est_factor = Polynomial.from_roots(EST_POLES)
     return remove_factor(raw, est_factor), raw, est_factor
 
@@ -138,25 +143,25 @@ class TestCombinedSystem:
         comb = combined_system(SS, gains)
         A, B, C = SS.A, SS.B, SS.C
         K, G = gains.K, gains.Gobs
-        np.testing.assert_array_equal(comb.Atil[:4, :4], A)
-        np.testing.assert_array_equal(comb.Atil[:4, 4:], -B @ K)
-        np.testing.assert_array_equal(comb.Atil[4:, :4], G @ C)
-        np.testing.assert_array_equal(comb.Atil[4:, 4:], A - B @ K - G @ C)
-        np.testing.assert_array_equal(comb.Btil, np.vstack([B, B]))
-        np.testing.assert_array_equal(comb.Ctil, [[1.0, 0, 0, 0, 0, 0, 0, 0]])
+        np.testing.assert_array_equal(comb.A[:4, :4], A)
+        np.testing.assert_array_equal(comb.A[:4, 4:], -B @ K)
+        np.testing.assert_array_equal(comb.A[4:, :4], G @ C)
+        np.testing.assert_array_equal(comb.A[4:, 4:], A - B @ K - G @ C)
+        np.testing.assert_array_equal(comb.B, np.vstack([B, B]))
+        np.testing.assert_array_equal(comb.C, [[1.0, 0, 0, 0, 0, 0, 0, 0]])
 
     def test_separation_principle(self):
         gains = gain_design(SS, SYS_POLES, EST_POLES)
         comb = combined_system(SS, gains)
-        eig = np.linalg.eigvals(comb.Atil)
+        eig = np.linalg.eigvals(comb.A)
         assert match_error(eig, SYS_POLES + EST_POLES) < 1e-6
 
     def test_zero_gains_give_block_diagonal(self):
         gains = GainMatrices(K=np.zeros((1, 4)), Gobs=np.zeros((4, 1)))
         comb = combined_system(SS, gains)
-        np.testing.assert_array_equal(comb.Atil[:4, 4:], np.zeros((4, 4)))
-        np.testing.assert_array_equal(comb.Atil[4:, :4], np.zeros((4, 4)))
-        np.testing.assert_array_equal(comb.Atil[4:, 4:], SS.A)
+        np.testing.assert_array_equal(comb.A[:4, 4:], np.zeros((4, 4)))
+        np.testing.assert_array_equal(comb.A[4:, :4], np.zeros((4, 4)))
+        np.testing.assert_array_equal(comb.A[4:, 4:], SS.A)
 
     def test_separation_for_random_pole_sets(self):
         rng = np.random.default_rng(77)
@@ -178,7 +183,7 @@ class TestCombinedSystem:
                 continue
             gains = gain_design(SS, sys_p, est_p)
             comb = combined_system(SS, gains)
-            assert match_error(np.linalg.eigvals(comb.Atil), sys_p + est_p) < 1e-6
+            assert match_error(np.linalg.eigvals(comb.A), sys_p + est_p) < 1e-6
             checked += 1
 
 

@@ -3,18 +3,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pfclab.plant import (
-    NonlinearState,
     PendulumParams,
     PerturbedPlantParams,
     angle_plant,
-    dimensionalize,
-    nondimensionalize,
+    linear_plant,
     nonlinear_derivatives,
     position_plant,
-    state_space,
-    total_energy,
 )
 from pfclab.poly import Polynomial
+
+from helpers import rightmost_real_part, total_energy
 
 
 class TestParams:
@@ -69,7 +67,7 @@ class TestPositionPlant:
     @given(M=st.floats(0.05, 5.0))
     def test_unstable_for_every_mass(self, M):
         g = position_plant(M=M)
-        assert g.den.rightmost_real_part() > 0.9  # sqrt((1+M)/M) > 1
+        assert rightmost_real_part(g.den) > 0.9  # sqrt((1+M)/M) > 1
 
 
 class TestAnglePlant:
@@ -89,7 +87,7 @@ class TestAnglePlant:
 
 class TestStateSpace:
     def test_benchmark_matrices(self):
-        ss = state_space(0.3)
+        ss = linear_plant(PendulumParams(M=0.3))
         A = np.array(
             [
                 [0, 0, 1, 0],
@@ -103,7 +101,7 @@ class TestStateSpace:
         np.testing.assert_allclose(ss.C, np.array([[1.0, 0, 0, 0]]))
 
     def test_shapes(self):
-        ss = state_space()
+        ss = linear_plant(PendulumParams())
         assert ss.A.shape == (4, 4)
         assert ss.B.shape == (4, 1)
         assert ss.C.shape == (1, 4)
@@ -113,7 +111,7 @@ class TestStateSpace:
         # of complex frequencies away from the poles.
         rng = np.random.default_rng(20250818)
         for M in rng.uniform(0.05, 5.0, size=20):
-            ss = state_space(M)
+            ss = linear_plant(PendulumParams(M=M))
             g = position_plant(M=M)
             for s in (1.0 + 1.0j, -2.0 + 0.5j, 0.3 + 3.0j):
                 resolvent = np.linalg.solve(s * np.eye(4) - ss.A, ss.B)
@@ -124,14 +122,14 @@ class TestStateSpace:
 
 class TestNonlinearDynamics:
     def test_upright_equilibrium(self):
-        st0 = NonlinearState(0.0, 0.0, 0.0, 0.0)
+        st0 = (0.0, 0.0, 0.0, 0.0)
         assert nonlinear_derivatives(st0, 0.0) == (0.0, 0.0, 0.0, 0.0)
 
     def test_horizontal_pendulum_oracle(self):
         # theta = pi/2: det = L*(M+m), xddot = (u + m*L*w^2)/(M+m),
         # thetaddot = g/L (the cos terms vanish).
         p = PendulumParams(M=0.3, L=2.0, m=0.5, g=9.81)
-        st0 = NonlinearState(0.0, np.pi / 2, 0.0, 1.5)
+        st0 = (0.0, np.pi / 2, 0.0, 1.5)
         dx, dth, ddx, ddth = nonlinear_derivatives(st0, 0.7, p)
         assert dx == 0.0 and dth == 1.5
         want_ddx = (0.7 + 0.5 * 2.0 * 1.5**2) / (0.3 + 0.5)
@@ -139,12 +137,12 @@ class TestNonlinearDynamics:
         np.testing.assert_allclose(ddth, 9.81 / 2.0, rtol=1e-12)
 
     def test_agrees_with_linearization_near_upright(self):
-        ss = state_space(0.3)
+        ss = linear_plant(PendulumParams(M=0.3))
         rng = np.random.default_rng(7)
         for _ in range(10):
             xs = rng.normal(scale=1e-4, size=4)
             u = rng.normal(scale=1e-4)
-            st0 = NonlinearState(*xs)
+            st0 = tuple(xs)
             nl = np.array(nonlinear_derivatives(st0, u))
             lin = ss.A @ xs + ss.B.ravel() * u
             scale = max(1e-4, float(np.max(np.abs(lin))))
@@ -158,49 +156,24 @@ class TestNonlinearDynamics:
         h = 1e-3
 
         def f(y):
-            return np.array(nonlinear_derivatives(NonlinearState.from_array(y), 0.0, p))
+            return np.array(nonlinear_derivatives(y, 0.0, p))
 
-        e0 = total_energy(NonlinearState.from_array(y), p)
+        e0 = total_energy(y, p)
         for _ in range(10000):
             k1 = f(y)
             k2 = f(y + 0.5 * h * k1)
             k3 = f(y + 0.5 * h * k2)
             k4 = f(y + h * k3)
             y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        e1 = total_energy(NonlinearState.from_array(y), p)
+        e1 = total_energy(y, p)
         assert abs(e1 - e0) < 1e-6
 
-    def test_plain_sequence_state_matches_named_state(self):
+    def test_array_and_list_states_match_tuple_state(self):
         p = PendulumParams(M=0.3, L=2.0, m=0.5, g=9.81)
         rng = np.random.default_rng(11)
         for _ in range(20):
             xs = rng.normal(size=4)
             u = float(rng.normal())
-            want = nonlinear_derivatives(NonlinearState(*map(float, xs)), u, p)
+            want = nonlinear_derivatives(tuple(map(float, xs)), u, p)
             assert nonlinear_derivatives(np.array(xs), u, p) == want
             assert nonlinear_derivatives(list(xs), u, p) == want
-
-    def test_state_array_roundtrip(self):
-        st0 = NonlinearState(0.1, -0.2, 0.3, -0.4)
-        assert NonlinearState.from_array(st0.as_array()) == st0
-
-
-class TestScaling:
-    def test_roundtrip_identity(self):
-        args = (1.23, 4.56, 7.89)
-        consts = dict(m=0.21, L=0.61, g=9.81)
-        nd = nondimensionalize(*args, **consts)
-        back = dimensionalize(*nd, **consts)
-        np.testing.assert_allclose(back, args, rtol=1e-14)
-
-    def test_unit_constants_are_identity(self):
-        assert nondimensionalize(2.0, 3.0, 0.3, 1.0, 1.0, 1.0) == (2.0, 3.0, 0.3)
-
-    def test_time_scaling(self):
-        # with L=g the time unit is 1 s regardless of their common value
-        _, t_nd, _ = nondimensionalize(0.0, 5.0, 1.0, 1.0, 2.5, 2.5)
-        np.testing.assert_allclose(t_nd, 5.0, rtol=1e-14)
-
-    def test_rejects_bad_constants(self):
-        with pytest.raises(ValueError):
-            nondimensionalize(1.0, 1.0, 1.0, m=0.0, L=1.0, g=1.0)

@@ -18,7 +18,7 @@ from pfclab.sim import (
 )
 from pfclab.tf import NoiseChannelSet, RationalTF, closed_loop, noise_channels
 
-from helpers import array_digest, expand_conjugates, separated, stable_root
+from helpers import array_digest, expand_conjugates, rightmost_real_part, separated, stable_root
 
 G = position_plant()
 F = angle_plant()
@@ -154,7 +154,7 @@ class TestStepResponse:
         den = Polynomial.from_roots(expand_conjugates(roots))
         num = Polynomial(num_coeffs[: den.degree + 1])
         tf = RationalTF(num, den)
-        rightmost = den.rightmost_real_part()
+        rightmost = rightmost_real_part(den)
         ts = step_response(tf, t_end=60.0 / abs(rightmost), dt=1e-2)
         dc = tf(0.0).real
         assert abs(ts.y[-1] - dc) < 0.01 * abs(dc) + 1e-6
@@ -349,9 +349,9 @@ class TestTimeSeriesIO:
         path = tmp_path / "series.csv"
         ts.to_csv(path)
         assert path.read_text().splitlines()[0] == "t,y"
-        back = TimeSeries.from_csv(path)
-        np.testing.assert_array_equal(back.t, ts.t)
-        np.testing.assert_array_equal(back.y, ts.y)
+        back = np.loadtxt(path, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(back[:, 0], ts.t)
+        np.testing.assert_array_equal(back[:, 1], ts.y)
 
     def test_rejects_decreasing_time(self):
         with pytest.raises(ValueError, match="strictly increasing"):

@@ -23,7 +23,7 @@ from pfclab.synth import (
 )
 from pfclab.tf import CompensatorPair, RationalTF, loop_denominator
 
-from helpers import array_digest
+from helpers import array_digest, rightmost_real_part
 from oracles import routh_is_stable
 
 G_PEND = position_plant()
@@ -350,6 +350,12 @@ class TestGaSearch:
             GaConfig(init_range=(3.0, -3.0))
         with pytest.raises(ValueError, match="generations"):
             GaConfig(generations=-1)
+        for scale in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="mutation_scale"):
+                GaConfig(mutation_scale=scale)
+        for interval in ((-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="init_range"):
+                GaConfig(init_range=interval)
 
     def test_result_serialization(self, tmp_path):
         res = ga_search(
@@ -433,7 +439,7 @@ class TestVerifyPair:
         rightmost = (rep.c_rightmost, rep.p_rightmost, rep.h_rightmost)
         for den, ok, r in zip(dens, stable, rightmost):
             assert ok == den.is_hurwitz()
-            assert r == (den.rightmost_real_part() if den.degree else -math.inf)
+            assert r == (rightmost_real_part(den) if den.degree else -math.inf)
 
     def test_report_json_fields(self):
         d = verify_pair(G_PEND, PAIR_B).to_json_dict()

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -10,16 +11,13 @@ from pfclab.tf import (
     RationalTF,
     angular_closed_loop,
     closed_loop,
-    constant,
-    feedback,
     loop_denominator,
     noise_channels,
-    parallel,
     pip_check,
     series,
-    tf_equal_up_to_scale,
 )
 
+from helpers import constant, feedback, parallel, tf_equal_up_to_scale
 from oracles import routh_is_stable
 
 G = RationalTF([-1.0, 0.0, 1.0], [0.0, 0.0, -1.3, 0.0, 0.3])
@@ -63,7 +61,7 @@ def test_properness_queries():
 
 
 def test_json_roundtrip():
-    back = RationalTF.from_json(G.to_json())
+    back = RationalTF.from_json_dict(json.loads(json.dumps(G.to_json_dict())))
     assert back.num.coeffs == G.num.coeffs
     assert back.den.coeffs == G.den.coeffs
     pair_back = CompensatorPair.from_json_dict(PAIR_A.to_json_dict())
@@ -152,7 +150,7 @@ def test_pip_position_plant_not_strongly_stabilizable():
     [(z, count)] = [c for c in v.checks if not math.isinf(c[0])]
     assert z == pytest.approx(1.0, abs=1e-9)
     assert count == 1
-    assert v.offending
+    assert any(c % 2 for _, c in v.checks)
 
 
 def test_pip_angle_plant_stabilizable():
@@ -190,7 +188,7 @@ def test_pip_zero_at_origin_counts():
     v = pip_check(RationalTF([0.0, 1.0], [-1.0, 0.0, 1.0]))
     assert not v.strongly_stabilizable
     assert v.checks == ((0.0, 1), (math.inf, 0))
-    assert v.offending == ((0.0, 1),)
+    assert [(z, c) for z, c in v.checks if c % 2] == [(0.0, 1)]
 
 
 def test_pip_scaling_invariance():
