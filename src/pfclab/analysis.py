@@ -20,18 +20,13 @@ import numpy as np
 
 from .plant import PerturbedPlantParams, position_plant
 from .synth import CoeffVector, decode, encode
-from .poly import Polynomial, roots_batch
+from .poly import Polynomial, hurwitz_from_roots, roots_batch
 from .tf import CompensatorPair, RationalTF, loop_denominator
 from .tf import closed_loop  # noqa: F401  (pfcbench/tracer.py patches this name here)
 
 GRID_POINTS = 1000
 GRID_W_MIN = 1e-2
 GRID_W_MAX = 1e2
-
-# golden-section iterations; interval shrinks by 0.618 per step, so 80
-# steps push the bracket to machine precision on any starting interval
-_GOLDEN_STEPS = 80
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -114,45 +109,6 @@ def bode(
     )
 
 
-def peak_gain(tf: RationalTF) -> tuple[float, float]:
-    """(omega_peak, peak magnitude in dB) over the standard grid.
-
-    Coarse argmax on the 1000-point log grid, then golden-section
-    refinement of log10|tf| in log-omega between the argmax's neighbors.
-    Restricted to stable transfer functions: an unstable one has no
-    steady-state gain to speak of.
-    """
-    if not tf.is_stable():
-        raise ValueError("peak gain undefined for an unstable transfer function")
-    grid = np.logspace(
-        math.log10(GRID_W_MIN), math.log10(GRID_W_MAX), GRID_POINTS
-    )
-    mags = np.abs(tf(1j * grid))
-    k = int(np.argmax(mags))
-    lo = math.log10(grid[max(k - 1, 0)])
-    hi = math.log10(grid[min(k + 1, GRID_POINTS - 1)])
-
-    def g(x: float) -> float:
-        return abs(tf(1j * 10.0**x))
-
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    gc, gd = g(c), g(d)
-    for _ in range(_GOLDEN_STEPS):
-        if gc >= gd:
-            b, d, gd = d, c, gc
-            c = b - _INV_PHI * (b - a)
-            gc = g(c)
-        else:
-            a, c, gc = c, d, gd
-            d = a + _INV_PHI * (b - a)
-            gd = g(d)
-    x = (a + b) / 2.0
-    w = 10.0**x
-    return w, 20.0 * math.log10(g(x))
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo studies
 # ---------------------------------------------------------------------------
@@ -219,8 +175,8 @@ def _mc_study(
     ]
     cloud: list[tuple[int, complex]] = []
     unstable = 0
-    for trial, poles in enumerate(roots_batch(dens)):
-        if not np.all(poles.real < 0.0):
+    for trial, (den, poles) in enumerate(zip(dens, roots_batch(dens))):
+        if not hurwitz_from_roots(den, poles):
             unstable += 1
         cloud.extend((trial, complex(z)) for z in poles)
     return McReport(

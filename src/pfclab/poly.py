@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -16,11 +17,18 @@ import numpy as np
 # Tolerance for pairing a root with its conjugate during symmetrization.
 CONJUGATE_TOL = 1e-6
 
+# `hurwitz_from_roots` trusts the sign of the rightmost float real part only
+# beyond this margin, relative to 1 + the largest root modulus; a root of
+# multiplicity m on the axis comes out about eps**(1/m) off it (4e-6 at m = 3).
+# Closer in it runs the exact Routh array, which takes about 0.5 ms at degree
+# 10, some three times a whole Monte Carlo trial.
+HURWITZ_MARGIN = 1e-4
+
 # Newton steps per root at most: simple roots converge in one step,
 # clustered roots improve linearly.
 NEWTON_STEPS = 12
 
-# Rows per Newton block in `roots_batch`: a block's temporaries stay near a
+# Rows per Newton block in `roots_stack`: a block's temporaries stay near a
 # megabyte at degree 10, whatever the batch size.
 NEWTON_ROWS = 256
 
@@ -40,12 +48,7 @@ class Polynomial:
         c = [float(x) + 0.0 for x in coeffs]  # +0.0 folds -0.0 into 0.0
         if not all(map(math.isfinite, c)):
             raise ValueError("polynomial coefficients must be finite")
-        if not c:
-            c = [0.0]
-        n = len(c)
-        while n > 1 and c[n - 1] == 0.0:
-            n -= 1
-        object.__setattr__(self, "coeffs", tuple(c[:n]))
+        object.__setattr__(self, "coeffs", tuple(trim_trailing_zeros(c or [0.0])))
 
     @classmethod
     def from_roots(cls, roots: Sequence[complex]) -> "Polynomial":
@@ -158,14 +161,25 @@ class Polynomial:
     def is_hurwitz(self) -> bool:
         """True iff every root lies strictly in the open left half plane.
 
-        A nonzero constant is vacuously Hurwitz; the zero polynomial is an
+        Decided exactly, by a Routh array on the coefficients as rationals,
+        so a root on the imaginary axis is never rounded into stability.  A
+        nonzero constant is vacuously Hurwitz; the zero polynomial is an
         error.
         """
         if self.is_zero:
             raise ValueError("stability undefined for the zero polynomial")
-        if self.degree == 0:
-            return True
-        return bool(np.all(self.roots().real < 0.0))
+        desc = [Fraction(c) for c in reversed(self.coeffs)]
+        positive = desc[0] > 0
+        prev, cur = desc[0::2], desc[1::2]
+        # a zero pivot or a zero row means a root on or right of the axis
+        while cur:
+            if cur[0] == 0 or (cur[0] > 0) != positive:
+                return False
+            pad = cur + [Fraction(0)] * (len(prev) - len(cur))
+            prev, cur = cur, [
+                prev[j + 1] - prev[0] * pad[j + 1] / cur[0] for j in range(len(prev) - 1)
+            ]
+        return True
 
     def __repr__(self) -> str:
         terms = []
@@ -181,6 +195,28 @@ class Polynomial:
         return "Polynomial(" + " + ".join(terms) + ")"
 
 
+def hurwitz_from_roots(p: Polynomial, roots: np.ndarray) -> bool:
+    """``p.is_hurwitz()``, from the roots of ``p`` already found.
+
+    Their sign decides when the rightmost one is clear of the imaginary
+    axis by HURWITZ_MARGIN; closer in, or with no roots, `is_hurwitz`'s
+    exact Routh array does.
+    """
+    if len(roots):
+        right = float(roots.real.max())
+        if abs(right) > HURWITZ_MARGIN * (1.0 + float(np.abs(roots).max())):
+            return right < 0.0
+    return p.is_hurwitz()
+
+
+def trim_trailing_zeros(c):
+    """The sequence ``c`` without its trailing exact zeros, keeping at least one entry."""
+    n = len(c)
+    while n > 1 and c[n - 1] == 0.0:
+        n -= 1
+    return c[:n]
+
+
 def _as_poly(x) -> Polynomial:
     if isinstance(x, Polynomial):
         return x
@@ -192,41 +228,61 @@ def _as_poly(x) -> Polynomial:
 def roots_batch(polys: Sequence[Polynomial]) -> list[np.ndarray]:
     """Roots of each polynomial, as `Polynomial.roots` documents them.
 
-    Exact zeros at the origin are split off row by row.  The remaining
-    factors are grouped by degree; each group takes one eigenvalue call on
-    its stack of companion matrices and an array Newton pass, and a row's
-    roots do not depend on the other rows in the batch.
+    The polynomials are grouped by degree and each group goes through
+    `roots_stack` as one array, so a row's roots do not depend on the other
+    rows in the batch.
     """
     out: list = [None] * len(polys)
-    groups: dict[int, list[tuple[int, int]]] = {}
+    groups: dict[int, list[int]] = {}
     for i, p in enumerate(polys):
         if p.is_zero:
             raise ValueError("undefined roots: the zero polynomial")
         if p.degree == 0:
             raise ValueError("a nonzero constant has no roots")
-        n_zero = 0
-        while p.coeffs[n_zero] == 0.0:
-            n_zero += 1
-        groups.setdefault(p.degree - n_zero, []).append((i, n_zero))
-    for n, rows in groups.items():
-        if n == 0:
-            for i, n_zero in rows:
-                out[i] = np.zeros(n_zero, dtype=complex)
-            continue
-        c = np.array([polys[i].coeffs[n_zero:] for i, n_zero in rows])
-        c = c / c[:, -1:]
-        raw = np.linalg.eigvals(_companions(c))
-        # polished in blocks of rows, which bounds the temporaries
-        z = np.concatenate([
-            _newton(c[k : k + NEWTON_ROWS], raw[k : k + NEWTON_ROWS])
-            for k in range(0, len(c), NEWTON_ROWS)
-        ])
-        for (i, n_zero), row in zip(rows, z):
-            found = [0j] * n_zero
-            for r, paired in _pair_conjugates(row.tolist()):
-                found.extend((r, r.conjugate()) if paired else (r,))
-            out[i] = np.sort_complex(np.asarray(found, dtype=complex))
+        groups.setdefault(p.degree, []).append(i)
+    for rows in groups.values():
+        for i, z in zip(rows, roots_stack(np.array([polys[i].coeffs for i in rows]))):
+            out[i] = z
     return out
+
+
+def roots_stack(c: np.ndarray) -> np.ndarray:
+    """Roots of each row of ``c``, ascending coefficients of one degree d >= 1.
+
+    Returns a (rows, d) complex array, each row sorted by (real, imag).
+    Exact zeros at the origin are split off first.  The rows with the same
+    count of them take one eigenvalue call on their stack of companion
+    matrices and an array Newton pass.  Conjugate pairing is then one array
+    step: LAPACK returns each non-real pair as adjacent exact conjugates,
+    and `_newton` treats z and conj(z) alike bit for bit, so each pair is
+    already its own conjugate average; only the near-real roots move, onto
+    the real axis.
+    """
+    c = np.asarray(c, dtype=float) + 0.0  # + 0.0 folds -0.0 as Polynomial does
+    if c.ndim != 2 or c.shape[1] < 2 or not np.all(c[:, -1] != 0.0):
+        raise ValueError("rows must share a degree >= 1 and have nonzero leading coefficients")
+    z = np.zeros((len(c), c.shape[1] - 1), dtype=complex)
+    n_zero = np.argmax(c != 0.0, axis=1)
+    for k in set(n_zero.tolist()):
+        rows = np.flatnonzero(n_zero == k)
+        if k < z.shape[1]:
+            z[rows, k:] = _polished_roots(c[rows, k:])
+    # abs(z) as CPython computes it; numpy's complex abs rounds otherwise
+    snap = np.abs(z.imag) <= CONJUGATE_TOL * (1.0 + np.hypot(z.real, z.imag))
+    z.imag[snap] = 0.0
+    z.sort(axis=1)
+    return z
+
+
+def _polished_roots(c: np.ndarray) -> np.ndarray:
+    """Polished eigenvalues of the companion matrices of rows ``c`` (a0 != 0)."""
+    c = c / c[:, -1:]
+    raw = np.linalg.eigvals(_companions(c))
+    # polished in blocks of rows, which bounds the temporaries
+    return np.concatenate([
+        _newton(c[k : k + NEWTON_ROWS], raw[k : k + NEWTON_ROWS])
+        for k in range(0, len(c), NEWTON_ROWS)
+    ])
 
 
 def _newton(c: np.ndarray, raw: np.ndarray) -> np.ndarray:
@@ -302,7 +358,8 @@ def _cdiv(ar, ai, br, bi):
 def _pair_conjugates(roots: Sequence[complex]) -> list[tuple[complex, bool]]:
     """In-order nearest-conjugate pairing, one ``(z, paired)`` per group.
 
-    A near-real root comes back snapped to the real axis, a conjugate pair
+    Serves `Polynomial.from_roots` only; `roots_stack` pairs a whole array
+    at once.  A near-real root comes back snapped to the real axis, a conjugate pair
     as its average z (the partner being conj(z)), and a non-real root with
     no partner within CONJUGATE_TOL as itself, unpaired.
     """

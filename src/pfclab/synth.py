@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .poly import Polynomial, roots_batch
+from .poly import hurwitz_from_roots, roots_batch, roots_stack, trim_trailing_zeros
 from .tf import CompensatorPair, RationalTF, loop_denominator
 from .tf import closed_loop  # noqa: F401  (pfcbench/tracer.py patches this name here)
 
@@ -44,16 +44,8 @@ class CoeffVector:
 
     def __init__(self, q: Sequence[float], n: int):
         n = int(n)
-        if n < 1:
-            raise ValueError("compensator order must be at least 1")
         q = tuple(float(x) for x in q)
-        if len(q) != 4 * n + 2:
-            raise ValueError(
-                f"coefficient vector for order {n} must have length "
-                f"{4 * n + 2}, got {len(q)}"
-            )
-        if not all(math.isfinite(x) for x in q):
-            raise ValueError("coefficient vector entries must be finite")
+        _checked_rows([q], n)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "n", n)
 
@@ -61,6 +53,22 @@ class CoeffVector:
         """(a block, b block), each of length 2n+1."""
         half = 2 * self.n + 1
         return self.q[:half], self.q[half:]
+
+
+def _checked_rows(rows, n: int) -> np.ndarray:
+    """``rows`` as a 2-D float array, once each is a valid order-n vector."""
+    if n < 1:
+        raise ValueError("compensator order must be at least 1")
+    dim = 4 * n + 2
+    rows = np.ascontiguousarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != dim:
+        raise ValueError(
+            f"coefficient vector for order {n} must have length {dim}, "
+            f"got {rows.shape[-1]}"
+        )
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("coefficient vector entries must be finite")
+    return rows
 
 
 def decode(vec: CoeffVector) -> CompensatorPair:
@@ -150,40 +158,64 @@ def objective(vec: CoeffVector, cfg: ObjectiveConfig) -> float:
 
 
 def objective_batch(rows, n: int, cfg: ObjectiveConfig) -> np.ndarray:
-    """`objective` of each order-n coefficient row, with one root batch.
+    """`objective` of each order-n coefficient row, bit for bit.
 
-    Rows are decoded and their loop denominators assembled one by one; the
-    roots of every candidate's C, P and loop denominators come from a
-    single `roots_batch` call.
+    C, P and the loop denominator are read off row slices, with no
+    `Polynomial` per candidate.  Each row's three loop products are per-row
+    `np.convolve` calls on trimmed slices, associated as `loop_denominator`
+    associates them, so they round as that function does; the products are
+    summed over the stacked rows.  Each candidate's C and P roots come from
+    one `roots_stack` call and its loop roots from another, and the score
+    is taken over those root arrays.
     """
-    rows = np.ascontiguousarray(rows, dtype=float)
+    n = int(n)
+    rows = _checked_rows(rows, n)
+    q = rows + 0.0  # folds -0.0 as Polynomial does
+    one = np.ones((len(q), 1))
+    num_C, den_C = q[:, : n + 1], np.hstack([one, q[:, n + 1 : 2 * n + 1]])
+    num_P, den_P = q[:, 2 * n + 1 : 3 * n + 2], np.hstack([one, q[:, 3 * n + 2 :]])
+    n_G = np.array(cfg.plant.num.coeffs)
+    d_G = np.array(cfg.plant.den.coeffs)
+    deg = 2 * n + len(d_G) - 1  # the loop degree unless leading terms cancel
+    terms = np.zeros((3, len(rows), 2 * n + max(len(d_G), len(n_G))))
+    collapsed = (rows[:, 2 * n] == 0.0) | (rows[:, 4 * n + 1] == 0.0)
+    for i in np.flatnonzero(~collapsed).tolist():
+        nc, npp = trim_trailing_zeros(num_C[i]), trim_trailing_zeros(num_P[i])
+        dc, dp = den_C[i], den_P[i]
+        for t, prod in zip(terms, (
+            _mul(_mul(dc, d_G), dp),
+            _mul(_mul(nc, npp), d_G),
+            _mul(_mul(nc, n_G), dp),
+        )):
+            t[i, : len(prod)] = prod
+    den = (terms[0] + terms[1]) + terms[2] + 0.0
+    scored = np.flatnonzero(
+        ~collapsed
+        & np.all(np.isfinite(den), axis=1)
+        & (den[:, deg] != 0.0)
+        & ~np.any(den[:, deg + 1 :], axis=1)
+    )
     F = np.full(len(rows), LARGE)
-    scored: list[int] = []
-    polys: list[Polynomial] = []
-    for i, row in enumerate(rows):
-        pair = decode(CoeffVector(row, n))
-        d_C, d_P = pair.C.den, pair.P.den
-        if d_C.degree != n or d_P.degree != n:
-            continue
-        try:
-            den = loop_denominator(cfg.plant, pair.C, pair.P)
-        except ValueError:
-            continue
-        if den.degree != 2 * n + cfg.plant.den.degree:
-            continue
-        scored.append(i)
-        polys += (d_C, d_P, den)
-    roots = roots_batch(polys)
-    for i, zc, zp, zh in zip(scored, roots[0::3], roots[1::3], roots[2::3]):
-        p1 = max(float(zc.real.max()), float(zp.real.max()))
-        p2 = float(zh.real.max())
-        f0 = p2 + cfg.penalty * p1 if p1 >= 0.0 else p2
-        F[i] = (
-            f0
-            + cfg.eps1 * np.linalg.norm(rows[i])
-            + cfg.eps2 * float(np.abs(zh).max())
-        )
+    right = roots_stack(np.concatenate([den_C[scored], den_P[scored]])).real.max(axis=1)
+    right_C, right_P = right[: len(scored)], right[len(scored) :]
+    z_H = roots_stack(den[scored, : deg + 1])
+    p1 = np.where(right_P > right_C, right_P, right_C)  # max(right_C, right_P), NaN too
+    p2 = z_H.real.max(axis=1)
+    f0 = np.where(p1 >= 0.0, p2 + cfg.penalty * p1, p2)
+    # per-row dot products round as np.linalg.norm does; an axis-1 sum may not
+    norm = np.sqrt([r.dot(r) for r in rows[scored]])
+    F[scored] = f0 + cfg.eps1 * norm + cfg.eps2 * np.abs(z_H).max(axis=1)
     return F
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a*b`` trimmed as `Polynomial` trims it.
+
+    `np.convolve` sums in an order set by which operand is longer, so the
+    products round as `Polynomial.__mul__` rounds them only on trimmed
+    operands.
+    """
+    return trim_trailing_zeros(np.convolve(a, b))
 
 
 @dataclass(frozen=True)
@@ -399,19 +431,21 @@ def verify_pair(G: RationalTF, pair: CompensatorPair) -> VerificationReport:
     assembled without cancellation, so a pair that only looks stable after
     cancelling an unstable factor fails here.  All poles come from one root
     batch; a constant denominator has none (rightmost -inf), and a zero loop
-    denominator goes into the batch so that `roots_batch` rejects it.
+    denominator goes into the batch so that `roots_batch` rejects it.  Each
+    stable flag is `Polynomial.is_hurwitz`'s exact verdict, so a pole on
+    the imaginary axis fails even when its float real part is negative.
     """
     dens = (pair.C.den, pair.P.den, loop_denominator(G, pair.C, pair.P))
-    roots = iter(roots_batch([d for d in dens if d.degree != 0]))
-    c_r, p_r, h_r = (
-        -math.inf if d.degree == 0 else float(np.max(next(roots).real)) for d in dens
-    )
+    found = iter(roots_batch([d for d in dens if d.degree != 0]))
+    roots = [next(found) if d.degree else np.zeros(0, dtype=complex) for d in dens]
+    c_r, p_r, h_r = (float(z.real.max()) if len(z) else -math.inf for z in roots)
+    c_ok, p_ok, h_ok = (hurwitz_from_roots(d, z) for d, z in zip(dens, roots))
     return VerificationReport(
         c_proper=pair.C.is_proper,
         p_proper=pair.P.is_proper,
-        c_stable=c_r < 0.0,
-        p_stable=p_r < 0.0,
-        closed_loop_stable=h_r < 0.0,
+        c_stable=c_ok,
+        p_stable=p_ok,
+        closed_loop_stable=h_ok,
         c_rightmost=c_r,
         p_rightmost=p_r,
         h_rightmost=h_r,

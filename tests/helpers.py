@@ -1,10 +1,12 @@
 """Shared strategies, comparison helpers and reference functions for the test suite."""
 
 import hashlib
+import math
 
 import numpy as np
 from hypothesis import strategies as st
 
+from pfclab.analysis import GRID_POINTS, GRID_W_MAX, GRID_W_MIN
 from pfclab.plant import PendulumParams
 from pfclab.poly import Polynomial
 from pfclab.tf import RationalTF
@@ -169,3 +171,48 @@ def total_energy(st, p: PendulumParams = PendulumParams()) -> float:
     )
     potential = p.m * p.g * p.L * np.cos(theta)
     return float(cart + bob + potential)
+
+
+# golden-section iterations; interval shrinks by 0.618 per step, so 80
+# steps push the bracket to machine precision on any starting interval
+_GOLDEN_STEPS = 80
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def peak_gain(tf: RationalTF) -> tuple[float, float]:
+    """(omega_peak, peak magnitude in dB) over the standard grid.
+
+    Coarse argmax on the 1000-point log grid, then golden-section
+    refinement of log10|tf| in log-omega between the argmax's neighbors.
+    Restricted to stable transfer functions: an unstable one has no
+    steady-state gain to speak of.
+    """
+    if not tf.is_stable():
+        raise ValueError("peak gain undefined for an unstable transfer function")
+    grid = np.logspace(
+        math.log10(GRID_W_MIN), math.log10(GRID_W_MAX), GRID_POINTS
+    )
+    mags = np.abs(tf(1j * grid))
+    k = int(np.argmax(mags))
+    lo = math.log10(grid[max(k - 1, 0)])
+    hi = math.log10(grid[min(k + 1, GRID_POINTS - 1)])
+
+    def g(x: float) -> float:
+        return abs(tf(1j * 10.0**x))
+
+    a, b = lo, hi
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    gc, gd = g(c), g(d)
+    for _ in range(_GOLDEN_STEPS):
+        if gc >= gd:
+            b, d, gd = d, c, gc
+            c = b - _INV_PHI * (b - a)
+            gc = g(c)
+        else:
+            a, c, gc = c, d, gd
+            d = a + _INV_PHI * (b - a)
+            gd = g(d)
+    x = (a + b) / 2.0
+    w = 10.0**x
+    return w, 20.0 * math.log10(g(x))

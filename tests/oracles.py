@@ -5,6 +5,8 @@ that agreement with the package is meaningful: no code is shared with
 src/pfclab beyond numpy.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 
@@ -24,9 +26,10 @@ def routh_is_stable(coeffs_ascending):
 
     Any zero pivot or zero row means roots on or right of the imaginary
     axis, hence not strictly stable. Degree-0 polynomials are vacuously
-    stable.
+    stable. The array is built in rational arithmetic, so the verdict is
+    exact for integer or float coefficients.
     """
-    c = [float(x) for x in coeffs_ascending]
+    c = [Fraction(x) for x in coeffs_ascending]
     while len(c) > 1 and c[-1] == 0.0:
         c.pop()
     if len(c) <= 1:
@@ -37,7 +40,7 @@ def routh_is_stable(coeffs_ascending):
     n = len(desc)
     rows = [desc[0::2], desc[1::2]]
     width = len(rows[0])
-    rows[1] += [0.0] * (width - len(rows[1]))
+    rows[1] += [Fraction(0)] * (width - len(rows[1]))
     for _ in range(n - 2):
         prev, cur = rows[-2], rows[-1]
         if cur[0] == 0.0:
@@ -45,7 +48,7 @@ def routh_is_stable(coeffs_ascending):
         nxt = [
             (cur[0] * prev[k + 1] - prev[0] * cur[k + 1]) / cur[0]
             for k in range(width - 1)
-        ] + [0.0]
+        ] + [Fraction(0)]
         rows.append(nxt)
     first_col = [r[0] for r in rows]
     if any(x == 0.0 for x in first_col):

@@ -21,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from pfclab.analysis import fragility_mc, peak_gain, robustness_mc
+from pfclab.analysis import fragility_mc, robustness_mc
 from pfclab.designs import ANGLE_DEMO_COMPENSATOR, PAIR_A, PAIR_B
 from pfclab.modern import (
     combined_system,
@@ -50,7 +50,7 @@ from pfclab.tf import (
     pip_check,
 )
 
-from helpers import match_error, rightmost_real_part, tf_equal_up_to_scale
+from helpers import match_error, peak_gain, rightmost_real_part, tf_equal_up_to_scale
 from oracles import critical_gain_cubic, routh_is_stable
 
 G = position_plant()

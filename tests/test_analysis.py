@@ -11,7 +11,6 @@ from pfclab.analysis import (
     McReport,
     bode,
     fragility_mc,
-    peak_gain,
     robustness_mc,
 )
 from pfclab.designs import ANGLE_DEMO_COMPENSATOR, PAIR_A, PAIR_B
@@ -19,7 +18,7 @@ from pfclab.plant import angle_plant, position_plant
 from pfclab.synth import verify_pair
 from pfclab.tf import CompensatorPair, RationalTF, noise_channels
 
-from helpers import array_digest
+from helpers import array_digest, peak_gain
 from oracles import resonance_peak_second_order
 
 G_PEND = position_plant()
@@ -256,6 +255,16 @@ class TestFragilityMc:
         G = RationalTF((0.0, 1.0), (1.0, 1.0))
         C = RationalTF((1.0,), (1.0, 1.0))
         P = RationalTF((-1.0,), (1.0, 1.0))
+        assert not verify_pair(G, CompensatorPair(C, P)).closed_loop_stable
+        rep = fragility_mc(G, C, P, trials=3, sigma=0.0)
+        assert rep.unstable_count == 3
+
+    def test_poles_on_axis_count_unstable(self):
+        # G = 1/(s^2 + 1), C = 0, P = 1/(s + 1): loop denominator
+        # (s + 1)(s^2 + 1), whose float roots +-i have real part about -1e-18
+        G = RationalTF((1.0,), (1.0, 0.0, 1.0))
+        C = RationalTF((0.0,), (1.0,))
+        P = RationalTF((1.0,), (1.0, 1.0))
         assert not verify_pair(G, CompensatorPair(C, P)).closed_loop_stable
         rep = fragility_mc(G, C, P, trials=3, sigma=0.0)
         assert rep.unstable_count == 3

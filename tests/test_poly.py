@@ -1,10 +1,12 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from pfclab.poly import Polynomial, roots_batch
+from pfclab.poly import Polynomial, hurwitz_from_roots, roots_batch, roots_stack
+from pfclab.tf import RationalTF, loop_denominator
 
 from helpers import (
     array_digest,
@@ -217,26 +219,62 @@ def test_is_hurwitz_gain_cubic(K, stable):
     assert routh_is_stable(c) is stable
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (1.0, 1.0, 1.0, 1.0),  # (s + 1)(s^2 + 1)
+        (2.0, 1.0, 2.0, 1.0),  # (s + 1)(s^2 + 2)
+        (4.0, 4.0, 5.0, 1.0, 1.0),  # (s^2 + 4)(s^2 + s + 1)
+        (1.0, 0.0, 2.0, 0.0, 1.0),  # (s^2 + 1)^2
+    ],
+)
+def test_roots_on_the_axis_are_not_hurwitz(coeffs):
+    p = Polynomial(coeffs)
+    assert not p.is_hurwitz()
+    assert not hurwitz_from_roots(p, p.roots())
+    assert not routh_is_stable(coeffs)
+
+
+def test_loop_denominator_with_an_axis_pole_is_not_hurwitz():
+    # C = 0 leaves the poles +-i of G = 1/(s^2 + 1) in the loop: with
+    # P = 1/(s + 1) the loop denominator is (s + 1)(s^2 + 1)
+    G = RationalTF((1.0,), (1.0, 0.0, 1.0))
+    C = RationalTF((0.0,), (1.0,))
+    den = loop_denominator(G, C, RationalTF((1.0,), (1.0, 1.0)))
+    assert den.coeffs == (1.0, 1.0, 1.0, 1.0)
+    assert not den.is_hurwitz()
+    # C = -0.5/(s + 1) and P = 0 move them off the axis: s^3 + s^2 + s + 1/2
+    C = RationalTF((-0.5,), (1.0, 1.0))
+    den = loop_denominator(G, C, RationalTF((0.0,), (1.0,)))
+    assert den.coeffs == (0.5, 1.0, 1.0, 1.0)
+    assert den.is_hurwitz() and routh_is_stable(den.coeffs)
+
+
 def test_hurwitz_agrees_with_routh_on_1000_random_polynomials():
     rng = np.random.default_rng(20240817)
-    checked = 0
+    near_axis = 0
     for _ in range(1000):
         deg = int(rng.integers(1, 9))
-        c = rng.integers(-100, 101, size=deg + 1) / 10.0
-        if c[-1] == 0.0:
-            c[-1] = 1.0
+        ints = rng.integers(-100, 101, size=deg + 1)
+        if ints[-1] == 0:
+            ints[-1] = 10
+        c = ints / 10.0
         p = Polynomial(c)
         roots = p.roots()
         if np.min(np.abs(roots.real)) < 1e-7:
-            continue  # marginal: both methods are tolerance-limited there
+            # marginal for float arithmetic: the exact Routh array on the
+            # integer coefficients 10*c decides
+            near_axis += 1
+            assert p.is_hurwitz() == routh_is_stable(ints.tolist()), f"coeffs={list(c)}"
+            continue
         assert p.is_hurwitz() == routh_is_stable(c), f"coeffs={list(c)}"
+        assert hurwitz_from_roots(p, roots) == p.is_hurwitz(), f"coeffs={list(c)}"
         # residual contract: checked where evaluation noise (which grows
         # like |root|^degree) does not swamp the bound
         if np.max(np.abs(roots)) <= 3.0:
             resid = max(abs(p(r)) for r in roots)
             assert resid <= 1e-8 * max(abs(x) for x in c)
-        checked += 1
-    assert checked > 900
+    assert near_axis > 0
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +420,33 @@ def test_roots_batch_matches_each_row_alone(polys):
         assert r.tobytes() == p.roots().tobytes()
 
 
+@given(st.lists(batch_row, min_size=1, max_size=12))
+def test_roots_batch_pairs_conjugates_bitwise_and_sorts(polys):
+    # the array pairing in roots_stack rests on this: the polished roots
+    # hold each non-real pair as adjacent exact conjugates, so snapping the
+    # near-real roots and sorting pairs the rest
+    from pfclab.poly import _polished_roots
+
+    for p, r in zip(polys, roots_batch(polys)):
+        c = np.asarray(p.coeffs)
+        c = c[np.flatnonzero(c)[0] :]
+        if len(c) > 1:
+            raw = _polished_roots(c[None, :])[0]
+            j = 0
+            while j < len(raw):
+                if raw[j].imag != 0.0:
+                    assert raw[j + 1].tobytes() == raw[j].conjugate().tobytes()
+                    j += 1
+                j += 1
+        nonreal = [z for z in r.tolist() if z.imag != 0.0]
+        assert Counter(np.complex128(z).tobytes() for z in nonreal) == Counter(
+            np.complex128(z.conjugate()).tobytes() for z in nonreal
+        )
+        assert all(
+            (a.real, a.imag) <= (b.real, b.imag) for a, b in zip(r.tolist(), r.tolist()[1:])
+        )
+
+
 def test_roots_batch_real_row_beside_complex_rows():
     # one eigenvalue call over this degree-3 stack returns complex dtype,
     # yet the all-real row must keep the real-arithmetic bits it gets alone
@@ -410,3 +475,7 @@ def test_roots_batch_errors_and_empty():
     with pytest.raises(ValueError, match="constant"):
         roots_batch([Polynomial((5.0,)), S])
     assert roots_batch([S * S])[0].tobytes() == np.zeros(2, dtype=complex).tobytes()
+    with pytest.raises(ValueError, match="leading"):
+        roots_stack(np.array([[1.0, 2.0], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match="degree >= 1"):
+        roots_stack(np.array([[1.0], [2.0]]))

@@ -1,5 +1,6 @@
 """Coefficient-vector search layer: encoding, objective, GA, verification."""
 
+import hashlib
 import math
 import warnings
 
@@ -39,6 +40,46 @@ F_PAIR_B = -0.3192543750769919
 # recorded with the one-candidate-at-a-time scorer that objective_batch
 # replaced (Python 3.11.7, numpy 2.4.6)
 GA_N3_SEED1_SHA256 = "e8a8488b80d9ff6174221ece99b4fc159859a3287b32f6bf5997e9a85a1bcf9f"
+
+# SHA-256 of objective_batch over `objective_digest_blocks()`, recorded with
+# the scorer that decoded every row into Polynomial objects (Python 3.11.7,
+# numpy 2.4.6)
+OBJECTIVE_SHA256 = "19b311e9a60b7d738e35c2f775d7e9dca94aee5b622458c41317afccdcc4fbc6"
+
+
+def objective_digest_blocks():
+    """(plant, n, rows) blocks: GA init-range rows plus every degenerate kind."""
+    rng = np.random.default_rng(20261019)
+    blocks = []
+    for n in (1, 2, 3):
+        rows = rng.uniform(-12.0, 12.0, (120, 4 * n + 2))
+        rows[60:] *= 10.0 ** rng.uniform(-3.0, 3.0, (60, 1))
+        rows[0, 2 * n] = 0.0  # C denominator degree collapse
+        rows[1, 4 * n + 1] = -0.0  # P denominator degree collapse
+        rows[2, 0] = 0.0  # a0 == 0: a loop pole at the origin
+        rows[3, :2] = 0.0  # a0 == a1 == 0: a double one
+        rows[4, n] = 0.0  # n_C loses its leading coefficient
+        rows[5, 3 * n + 1] = 0.0  # n_P loses its leading coefficient
+        rows[6, 1 : n + 1] = 0.0  # n_C a constant
+        rows[7, : n + 1] = 0.0  # C = 0
+        rows[8, 2 * n + 1 : 3 * n + 2] = 0.0  # P = 0
+        rows[9, [n, 3 * n + 1, 2 * n + 1]] = -0.0  # negative zeros
+        # loop degree drop: the s^(2n+4) terms of d_C d_G d_P and n_C n_P d_G cancel
+        rows[10, [n, 2 * n, 3 * n + 1, 4 * n + 1]] = (1.0, 1.0, -1.0, 1.0)
+        # n_C n_P underflows in its leading coefficient and is trimmed
+        rows[11, [n, 3 * n + 1]] = 1e-200
+        blocks.append((G_PEND, n, rows))
+        # C = -1 and P = 0 around the unit plant: the loop denominator vanishes
+        rows = rng.uniform(-12.0, 12.0, (12, 4 * n + 2))
+        rows[3, : n + 1] = -np.concatenate([[1.0], rows[3, n + 1 : 2 * n + 1]])
+        rows[3, 2 * n + 1 : 3 * n + 2] = 0.0
+        blocks.append((RationalTF((1.0,), (1.0,)), n, rows))
+        # C = (1+s)/(1+s), P = (1-s)/(1+s) around 1/(s-1): the s^3 terms cancel
+        rows = rng.uniform(-12.0, 12.0, (12, 4 * n + 2))
+        if n == 1:
+            rows[3] = (1, 1, 1, 1, -1, 1)
+        blocks.append((EASY, n, rows))
+    return blocks
 
 
 def brute_F(q, n, G, penalty=6.0, eps1=1e-5, eps2=1e-4):
@@ -232,6 +273,28 @@ class TestObjective:
             assert F.tobytes() == np.array(alone).tobytes()
             assert F[5] == LARGE and np.all(F[np.arange(11) != 5] != LARGE)
 
+    def test_objective_values_pinned(self):
+        h = hashlib.sha256()
+        for plant, n, rows in objective_digest_blocks():
+            F = objective_batch(rows, n, ObjectiveConfig(plant=plant))
+            h.update(F.tobytes())
+        assert h.hexdigest() == OBJECTIVE_SHA256
+
+    def test_batch_row_validation(self):
+        cfg = ObjectiveConfig(plant=G_PEND)
+        rows = np.random.default_rng(3).uniform(-12.0, 12.0, (4, 6))
+        for bad in (np.nan, np.inf, -np.inf):
+            broken = rows.copy()
+            broken[2, 4] = bad
+            with pytest.raises(ValueError, match="coefficient vector entries must be finite"):
+                objective_batch(broken, 1, cfg)
+        with pytest.raises(ValueError, match="order 1 must have length 6, got 5"):
+            objective_batch(rows[:, :5], 1, cfg)
+        with pytest.raises(ValueError, match="order 2 must have length 10, got 6"):
+            objective_batch(rows, 2, cfg)
+        with pytest.raises(ValueError, match="order must be at least 1"):
+            objective_batch(rows, 0, cfg)
+
     def test_continuous_across_penalty_switch(self):
         # compensator pole pair at (+/-)delta + i: crossing p1 = 0 changes
         # branch but not the limit value
@@ -423,18 +486,24 @@ class TestVerifyPair:
         assert rep.c_relative_degree == -1
 
     @pytest.mark.parametrize(
-        "pair",
+        "G,pair",
         [
-            PAIR_A,
-            PAIR_B,
-            CompensatorPair(RationalTF((1.0,), (-1.0, 1.0)), RationalTF((0.0,), (1.0,))),
-            CompensatorPair(RationalTF((2.0,), (1.0,)), PAIR_B.P),
+            (G_PEND, PAIR_A),
+            (G_PEND, PAIR_B),
+            (G_PEND, CompensatorPair(RationalTF((1.0,), (-1.0, 1.0)), RationalTF((0.0,), (1.0,)))),
+            (G_PEND, CompensatorPair(RationalTF((2.0,), (1.0,)), PAIR_B.P)),
+            # loop denominator (s + 1)(s^2 + 1): its float roots +-i come
+            # out with real part about -1e-18
+            (
+                RationalTF((1.0,), (1.0, 0.0, 1.0)),
+                CompensatorPair(RationalTF((0.0,), (1.0,)), RationalTF((1.0,), (1.0, 1.0))),
+            ),
         ],
-        ids=["a", "b", "failing", "constant-C-den"],
+        ids=["a", "b", "failing", "constant-C-den", "poles-on-axis"],
     )
-    def test_report_matches_per_polynomial_checks(self, pair):
-        rep = verify_pair(G_PEND, pair)
-        dens = (pair.C.den, pair.P.den, loop_denominator(G_PEND, pair.C, pair.P))
+    def test_report_matches_per_polynomial_checks(self, G, pair):
+        rep = verify_pair(G, pair)
+        dens = (pair.C.den, pair.P.den, loop_denominator(G, pair.C, pair.P))
         stable = (rep.c_stable, rep.p_stable, rep.closed_loop_stable)
         rightmost = (rep.c_rightmost, rep.p_rightmost, rep.h_rightmost)
         for den, ok, r in zip(dens, stable, rightmost):
