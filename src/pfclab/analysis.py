@@ -14,14 +14,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .plant import PerturbedPlantParams, position_plant
-from .synth import CoeffVector, decode, encode
-from .poly import Polynomial, hurwitz_from_roots, roots_batch
-from .tf import CompensatorPair, RationalTF, loop_denominator
+from .plant import position_plant_rows
+from .plant import position_plant  # noqa: F401  (pfcbench/tracer.py patches this name here)
+from .synth import candidate_stacks, encode, loop_rows, tf_rows
+from .poly import hurwitz_stack, roots_stack, trim_trailing_zeros
+from .tf import CompensatorPair, RationalTF
 from .tf import closed_loop  # noqa: F401  (pfcbench/tracer.py patches this name here)
 
 GRID_POINTS = 1000
@@ -153,36 +153,47 @@ class McReport:
                 fh.write(f"{t},{z.real:.17g},{z.imag:.17g}\n")
 
 
-def _mc_study(
-    trial_den: Callable[[np.ndarray], Polynomial],
-    draws: int, trials: int, sigma: float, seed: int,
-) -> McReport:
-    """Seeded trial loop shared by both studies.
-
-    Each trial maps ``draws`` N(0, sigma) numbers to a perturbed loop
-    denominator; a trial with any root in the closed right half plane, the
-    imaginary axis included, counts as unstable.
-    """
+def _draws(per_trial: int, trials: int, sigma: float, seed: int) -> np.ndarray:
+    """One row of ``per_trial`` N(0, sigma) numbers per trial."""
     if trials < 1:
         raise ValueError("need at least one trial")
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise ValueError("sigma must be finite and nonnegative")
     # substream keyed by (seed, trial) so trial order, serial or parallel,
     # cannot change any draw
-    dens = [
-        trial_den(np.random.default_rng([seed, trial]).normal(0.0, sigma, draws))
+    return np.array([
+        np.random.default_rng([seed, trial]).normal(0.0, sigma, per_trial)
         for trial in range(trials)
-    ]
-    cloud: list[tuple[int, complex]] = []
-    unstable = 0
-    for trial, (den, poles) in enumerate(zip(dens, roots_batch(dens))):
-        if not hurwitz_from_roots(den, poles):
-            unstable += 1
-        cloud.extend((trial, complex(z)) for z in poles)
+    ])
+
+
+def _mc_report(den: np.ndarray, sigma: float, seed: int) -> McReport:
+    """Verdicts and pole cloud of the trials' loop denominators, rows of ``den``.
+
+    A trial with any root in the closed right half plane, the imaginary
+    axis included, counts as unstable.  Rows are grouped by degree; each
+    group takes one `roots_stack` call and one `hurwitz_stack` verdict.
+    """
+    if not np.all(np.isfinite(den)):
+        raise ValueError("polynomial coefficients must be finite")
+    degree = np.array([len(trim_trailing_zeros(row)) - 1 for row in den])
+    # only a zero row keeps a zero leading coefficient after trimming
+    if not np.all(den[np.arange(len(den)), degree]):
+        raise ValueError("degenerate loop: closed-loop denominator vanished")
+    if not np.all(degree):
+        raise ValueError("a nonzero constant has no roots")
+    poles: list = [None] * len(den)
+    stable = np.zeros(len(den), dtype=bool)
+    for d in set(degree.tolist()):
+        rows = np.flatnonzero(degree == d)
+        z = roots_stack(den[rows, : d + 1])
+        stable[rows] = hurwitz_stack(den[rows, : d + 1], z)
+        for trial, zs in zip(rows.tolist(), z.tolist()):
+            poles[trial] = zs
     return McReport(
-        trials=trials,
-        unstable_count=unstable,
-        pole_cloud=tuple(cloud),
+        trials=len(den),
+        unstable_count=int(np.count_nonzero(~stable)),
+        pole_cloud=tuple((trial, z) for trial, zs in enumerate(poles) for z in zs),
         seed=seed,
         sigma=sigma,
     )
@@ -203,14 +214,8 @@ def robustness_mc(
     closed-loop poles under the fixed pair.  A trial with any pole in the
     closed right half plane counts as unstable.
     """
-
-    def trial_den(r: np.ndarray) -> Polynomial:
-        params = PerturbedPlantParams(
-            A0=1.0 + r[0], A1=1.0 + r[1], A2=1.0 + r[2], A3=1.0 + r[3]
-        )
-        return loop_denominator(position_plant(params, M), C, P)
-
-    return _mc_study(trial_den, 4, trials, sigma, seed)
+    G = position_plant_rows(1.0 + _draws(4, trials, sigma, seed), M)
+    return _mc_report(loop_rows(G, tf_rows(C), tf_rows(P)), sigma, seed)
 
 
 def fragility_mc(
@@ -236,9 +241,6 @@ def fragility_mc(
             )
     vec = encode(CompensatorPair(C, P))
     q = np.asarray(vec.q)
-
-    def trial_den(s: np.ndarray) -> Polynomial:
-        perturbed = decode(CoeffVector(q * (1.0 + s), vec.n))
-        return loop_denominator(G, perturbed.C, perturbed.P)
-
-    return _mc_study(trial_den, q.size, trials, sigma, seed)
+    rows = q * (1.0 + _draws(q.size, trials, sigma, seed))
+    den = loop_rows(tf_rows(G), *candidate_stacks(rows, vec.n))
+    return _mc_report(den, sigma, seed)

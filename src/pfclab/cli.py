@@ -459,11 +459,16 @@ def _add_pair(p: argparse.ArgumentParser, default: str | None = "a") -> None:
     )
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, writes: bool = True) -> None:
     p.add_argument(
         "--out",
         default=None,
-        help=f"output directory (default: ${OUT_ENV} or current directory)",
+        help=(
+            f"output directory (default: ${OUT_ENV} or current directory)"
+            if writes
+            else "accepted so one command line serves every command; "
+            "this command writes no files"
+        ),
     )
     p.add_argument("--mass", type=_positive_float, default=0.3, help="cart mass")
 
@@ -476,10 +481,12 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="audit a compensator pair against a plant")
+    p = sub.add_parser(
+        "verify", help="audit a compensator pair against a plant; writes no files"
+    )
     _add_plant(p)
     _add_pair(p)
-    _add_common(p)
+    _add_common(p, writes=False)
 
     p = sub.add_parser("synthesize", help="search for a stabilizing stable pair")
     p.add_argument("--n", type=_positive_int, required=True, help="compensator order")
@@ -549,9 +556,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser(
-        "modern", help="observer-based design walkthrough with verdicts"
+        "modern",
+        help="observer-based design walkthrough with verdicts; writes no files",
     )
-    _add_common(p)
+    _add_common(p, writes=False)
 
     return ap
 

@@ -13,7 +13,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .poly import Polynomial
 from .tf import RationalTF
 
 
@@ -79,11 +78,23 @@ def position_plant(
     (A0*s^2 - A1) / (s^2*(M*A2*s^2 - (1+M)*A3)); the nominal factors give
     the benchmark plant with zeros at +-1 and poles {0, 0, +-sqrt((1+M)/M)}.
     """
+    num, den = position_plant_rows([[params.A0, params.A1, params.A2, params.A3]], M)
+    return RationalTF(num[0], den[0])
+
+
+def position_plant_rows(factors, M: float = 0.3) -> tuple[np.ndarray, np.ndarray]:
+    """Numerator and denominator coefficient rows of `position_plant`.
+
+    One row each per row (A0, A1, A2, A3) of ``factors``: the coefficients
+    of (A0*s^2 - A1) / (s^2*(M*A2*s^2 - (1+M)*A3)), ascending.
+    """
     if M <= 0.0:
         raise ValueError("cart mass must be strictly positive")
-    num = Polynomial((-params.A1, 0.0, params.A0))
-    den = Polynomial((0.0, 0.0, -(1.0 + M) * params.A3, 0.0, M * params.A2))
-    return RationalTF(num, den)
+    A0, A1, A2, A3 = np.asarray(factors, dtype=float).T
+    zero = np.zeros(len(A0))
+    num = np.column_stack([-A1, zero, A0])
+    den = np.column_stack([zero, zero, -(1.0 + M) * A3, zero, M * A2])
+    return num, den
 
 
 def angle_plant(M: float = 0.3) -> RationalTF:

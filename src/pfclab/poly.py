@@ -17,11 +17,11 @@ import numpy as np
 # Tolerance for pairing a root with its conjugate during symmetrization.
 CONJUGATE_TOL = 1e-6
 
-# `hurwitz_from_roots` trusts the sign of the rightmost float real part only
+# `hurwitz_stack` trusts the sign of the rightmost float real part only
 # beyond this margin, relative to 1 + the largest root modulus; a root of
 # multiplicity m on the axis comes out about eps**(1/m) off it (4e-6 at m = 3).
 # Closer in it runs the exact Routh array, which takes about 0.5 ms at degree
-# 10, some three times a whole Monte Carlo trial.
+# 10, some five times a whole Monte Carlo trial.
 HURWITZ_MARGIN = 1e-4
 
 # Newton steps per root at most: simple roots converge in one step,
@@ -198,15 +198,37 @@ class Polynomial:
 def hurwitz_from_roots(p: Polynomial, roots: np.ndarray) -> bool:
     """``p.is_hurwitz()``, from the roots of ``p`` already found.
 
-    Their sign decides when the rightmost one is clear of the imaginary
-    axis by HURWITZ_MARGIN; closer in, or with no roots, `is_hurwitz`'s
-    exact Routh array does.
+    The one-row case of `hurwitz_stack`; with no roots, `is_hurwitz` decides.
     """
     if len(roots):
-        right = float(roots.real.max())
-        if abs(right) > HURWITZ_MARGIN * (1.0 + float(np.abs(roots).max())):
-            return right < 0.0
+        return bool(hurwitz_stack(np.array([p.coeffs]), roots[None])[0])
     return p.is_hurwitz()
+
+
+def hurwitz_stack(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """`Polynomial.is_hurwitz` of each row of ``c``, from its roots, row ``z``.
+
+    The sign of the rightmost root decides when it is clear of the
+    imaginary axis by HURWITZ_MARGIN; closer in, the exact Routh array of
+    `is_hurwitz` does, for that row alone.
+    """
+    right = z.real.max(axis=1)
+    ok = right < 0.0
+    near = ~(np.abs(right) > HURWITZ_MARGIN * (1.0 + np.abs(z).max(axis=1)))
+    for i in np.flatnonzero(near).tolist():
+        ok[i] = Polynomial(c[i]).is_hurwitz()
+    return ok
+
+
+def monic_is_finite(c: np.ndarray) -> np.ndarray:
+    """Whether each row of ``c`` stays finite divided by its last (leading) coefficient.
+
+    A subnormal or tiny leading coefficient makes that division overflow,
+    and `roots_stack` has no companion matrix for such a row.  A row with a
+    zero leading coefficient or a non-finite entry is not finite either.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return np.all(np.isfinite(c / c[:, -1:]), axis=1)
 
 
 def trim_trailing_zeros(c):
@@ -261,6 +283,10 @@ def roots_stack(c: np.ndarray) -> np.ndarray:
     c = np.asarray(c, dtype=float) + 0.0  # + 0.0 folds -0.0 as Polynomial does
     if c.ndim != 2 or c.shape[1] < 2 or not np.all(c[:, -1] != 0.0):
         raise ValueError("rows must share a degree >= 1 and have nonzero leading coefficients")
+    if not np.all(monic_is_finite(c)):
+        raise ValueError(
+            "leading coefficient too small: dividing its row by it overflows"
+        )
     z = np.zeros((len(c), c.shape[1] - 1), dtype=complex)
     n_zero = np.argmax(c != 0.0, axis=1)
     for k in set(n_zero.tolist()):

@@ -23,7 +23,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .poly import hurwitz_from_roots, roots_batch, roots_stack, trim_trailing_zeros
+from .poly import (
+    hurwitz_from_roots,
+    monic_is_finite,
+    roots_batch,
+    roots_stack,
+    trim_trailing_zeros,
+)
 from .tf import CompensatorPair, RationalTF, loop_denominator
 from .tf import closed_loop  # noqa: F401  (pfcbench/tracer.py patches this name here)
 
@@ -160,45 +166,33 @@ def objective(vec: CoeffVector, cfg: ObjectiveConfig) -> float:
 def objective_batch(rows, n: int, cfg: ObjectiveConfig) -> np.ndarray:
     """`objective` of each order-n coefficient row, bit for bit.
 
-    C, P and the loop denominator are read off row slices, with no
-    `Polynomial` per candidate.  Each row's three loop products are per-row
-    `np.convolve` calls on trimmed slices, associated as `loop_denominator`
-    associates them, so they round as that function does; the products are
-    summed over the stacked rows.  Each candidate's C and P roots come from
-    one `roots_stack` call and its loop roots from another, and the score
-    is taken over those root arrays.
+    C, P and the loop denominator are read off row slices by
+    `candidate_stacks` and `loop_rows`, with no `Polynomial` per candidate.
+    Each candidate's C and P roots come from one `roots_stack` call and its
+    loop roots from another, and the score is taken over those root arrays.
+    A row scores LARGE when its C, P or loop denominator loses its leading
+    coefficient or has one too small to divide by, or when its loop
+    denominator is non-finite or vanishes.
     """
     n = int(n)
     rows = _checked_rows(rows, n)
-    q = rows + 0.0  # folds -0.0 as Polynomial does
-    one = np.ones((len(q), 1))
-    num_C, den_C = q[:, : n + 1], np.hstack([one, q[:, n + 1 : 2 * n + 1]])
-    num_P, den_P = q[:, 2 * n + 1 : 3 * n + 2], np.hstack([one, q[:, 3 * n + 2 :]])
-    n_G = np.array(cfg.plant.num.coeffs)
-    d_G = np.array(cfg.plant.den.coeffs)
-    deg = 2 * n + len(d_G) - 1  # the loop degree unless leading terms cancel
-    terms = np.zeros((3, len(rows), 2 * n + max(len(d_G), len(n_G))))
-    collapsed = (rows[:, 2 * n] == 0.0) | (rows[:, 4 * n + 1] == 0.0)
-    for i in np.flatnonzero(~collapsed).tolist():
-        nc, npp = trim_trailing_zeros(num_C[i]), trim_trailing_zeros(num_P[i])
-        dc, dp = den_C[i], den_P[i]
-        for t, prod in zip(terms, (
-            _mul(_mul(dc, d_G), dp),
-            _mul(_mul(nc, npp), d_G),
-            _mul(_mul(nc, n_G), dp),
-        )):
-            t[i, : len(prod)] = prod
-    den = (terms[0] + terms[1]) + terms[2] + 0.0
-    scored = np.flatnonzero(
-        ~collapsed
-        & np.all(np.isfinite(den), axis=1)
-        & (den[:, deg] != 0.0)
-        & ~np.any(den[:, deg + 1 :], axis=1)
-    )
     F = np.full(len(rows), LARGE)
-    right = roots_stack(np.concatenate([den_C[scored], den_P[scored]])).real.max(axis=1)
+    live = np.flatnonzero((rows[:, 2 * n] != 0.0) & (rows[:, 4 * n + 1] != 0.0))
+    C, P = candidate_stacks(rows[live], n)
+    den = loop_rows(tf_rows(cfg.plant), C, P)
+    deg = 2 * n + cfg.plant.den.degree  # the loop degree unless leading terms cancel
+    den_C, den_P = C[1], P[1]
+    # a zero leading coefficient or a non-finite entry fails monic_is_finite too
+    ok = (
+        monic_is_finite(den[:, : deg + 1])
+        & ~np.any(den[:, deg + 1 :], axis=1)
+        & monic_is_finite(den_C)
+        & monic_is_finite(den_P)
+    )
+    scored = live[ok]
+    right = roots_stack(np.concatenate([den_C[ok], den_P[ok]])).real.max(axis=1)
     right_C, right_P = right[: len(scored)], right[len(scored) :]
-    z_H = roots_stack(den[scored, : deg + 1])
+    z_H = roots_stack(den[ok, : deg + 1])
     p1 = np.where(right_P > right_C, right_P, right_C)  # max(right_C, right_P), NaN too
     p2 = z_H.real.max(axis=1)
     f0 = np.where(p1 >= 0.0, p2 + cfg.penalty * p1, p2)
@@ -208,6 +202,59 @@ def objective_batch(rows, n: int, cfg: ObjectiveConfig) -> np.ndarray:
     return F
 
 
+def candidate_stacks(q: np.ndarray, n: int):
+    """(num, den) coefficient stacks of C and of P, read off order-n rows ``q``.
+
+    Row k of each stack is what `decode` gives row k of ``q``, before
+    `Polynomial` trims it.
+    """
+    one = np.ones((len(q), 1))
+    C = q[:, : n + 1], np.hstack([one, q[:, n + 1 : 2 * n + 1]])
+    P = q[:, 2 * n + 1 : 3 * n + 2], np.hstack([one, q[:, 3 * n + 2 :]])
+    return C, P
+
+
+def tf_rows(tf: RationalTF):
+    """(num, den) of ``tf`` as one-row stacks, which `loop_rows` shares among all loops."""
+    return [tf.num.coeffs], [tf.den.coeffs]
+
+
+def loop_rows(G, C, P) -> np.ndarray:
+    """`loop_denominator` of each of a stack of loops, bit for bit.
+
+    G, C and P are (num, den) pairs of 2-D stacks of ascending coefficient
+    rows, one row per loop; a stack of one row serves every loop.  Each
+    loop's three products are per-row `np.convolve` calls on trimmed
+    slices, associated as `loop_denominator` associates them, so they round
+    as that function does; the products are summed over the stacked rows.
+    Returns one row per loop, zero-padded to a common width; a loop whose
+    denominator vanishes comes back as a zero row, and nothing is raised.
+    """
+    tfs = [[np.asarray(x, dtype=float) + 0.0 for x in tf] for tf in (G, C, P)]
+    width = sum(max(x.shape[1] for x in tf) for tf in tfs) - 2
+    stacks = [x for tf in tfs for x in tf]
+    sizes = {len(x) for x in stacks} - {1}
+    loops = sizes.pop() if sizes else 1
+    t = np.zeros((3, loops, width))
+    rows = (_trimmed_rows(x, loops) for x in stacks)
+    for i, (ng, dg, nc, dc, npp, dp) in enumerate(zip(*rows, strict=True)):
+        for term, prod in zip(t, (
+            _mul(_mul(dc, dg), dp),
+            _mul(_mul(nc, npp), dg),
+            _mul(_mul(nc, ng), dp),
+        )):
+            term[i, : len(prod)] = prod
+    return (t[0] + t[1]) + t[2] + 0.0  # + 0.0 folds -0.0 as Polynomial does
+
+
+def _trimmed_rows(x: np.ndarray, loops: int):
+    """The rows of stack ``x`` trimmed, one at a time; a single row serves every loop."""
+    if len(x) == 1:
+        return [trim_trailing_zeros(x[0])] * loops
+    # a row with a nonzero last entry is its own trim
+    return iter(x) if np.all(x[:, -1] != 0.0) else map(trim_trailing_zeros, x)
+
+
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a*b`` trimmed as `Polynomial` trims it.
 
@@ -215,7 +262,9 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     products round as `Polynomial.__mul__` rounds them only on trimmed
     operands.
     """
-    return trim_trailing_zeros(np.convolve(a, b))
+    p = np.convolve(a, b)
+    # on trimmed operands only an underflow leaves a zero last entry
+    return p if p[-1] != 0.0 else trim_trailing_zeros(p)
 
 
 @dataclass(frozen=True)

@@ -177,15 +177,32 @@ CLOUD_B_SHA256 = {
 }
 
 
-def test_pair_b_pole_clouds_pinned():
+# the same digests for pair a, recorded with one `Polynomial` loop
+# denominator per trial, before the trials were assembled as stacked rows
+CLOUD_A_SHA256 = {
+    "robustness": "2f03319f6f9deed260baa9ab372ef958164a557d90890a053628144c12dbab1c",
+    "fragility": "aeeceda4f713c795c592ef0c1d082a259f3aee5fd3e9aab6376f4a76225f484c",
+}
+
+
+def cloud_digests(pair):
+    """Digest of each study's trial tags and poles at the defaults."""
     reports = {
-        "robustness": robustness_mc(PAIR_B.C, PAIR_B.P),
-        "fragility": fragility_mc(G_PEND, PAIR_B.C, PAIR_B.P),
+        "robustness": robustness_mc(pair.C, pair.P),
+        "fragility": fragility_mc(G_PEND, pair.C, pair.P),
     }
-    for study, rep in reports.items():
-        cloud = rep.pole_cloud
-        digest = array_digest([[t for t, _ in cloud], [z for _, z in cloud]])
-        assert digest == CLOUD_B_SHA256[study], study
+    return {
+        study: array_digest([[t for t, _ in rep.pole_cloud], [z for _, z in rep.pole_cloud]])
+        for study, rep in reports.items()
+    }
+
+
+def test_pair_a_pole_clouds_pinned():
+    assert cloud_digests(PAIR_A) == CLOUD_A_SHA256
+
+
+def test_pair_b_pole_clouds_pinned():
+    assert cloud_digests(PAIR_B) == CLOUD_B_SHA256
 
 
 class TestRobustnessMc:

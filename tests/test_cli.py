@@ -444,6 +444,20 @@ class TestOutputDir:
         assert (explicit / "step.csv").exists()
         assert not (tmp_path / "env").exists()
 
+    @pytest.mark.parametrize("command", ["verify", "modern"])
+    def test_print_only_commands_say_they_write_nothing(self, capsys, tmp_path, command):
+        # --out stays accepted so one command line serves every command
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "writes no files" in " ".join(capsys.readouterr().out.split())
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        listing = " ".join(capsys.readouterr().out.split())
+        assert listing.count("writes no files") == 2
+        rc, _, _ = run(capsys, command, "--out", str(tmp_path / "never"))
+        assert rc == 0
+        assert not (tmp_path / "never").exists()
+
 
 # ---------------------------------------------------------------------------
 # pinned artifacts of scripts/reproduce_all.py

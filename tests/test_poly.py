@@ -479,3 +479,9 @@ def test_roots_batch_errors_and_empty():
         roots_stack(np.array([[1.0, 2.0], [1.0, 0.0]]))
     with pytest.raises(ValueError, match="degree >= 1"):
         roots_stack(np.array([[1.0], [2.0]]))
+    # a subnormal or tiny leading coefficient: the monic row overflows
+    for c in ((1.0, 5e-324), (-3.0, 2.0, 1e-310), (1e300, 1e-10)):
+        with pytest.raises(ValueError, match="leading coefficient too small"):
+            Polynomial(c).roots()
+        with pytest.raises(ValueError, match="leading coefficient too small"):
+            roots_stack(np.array([(1.0,) * len(c), c]))

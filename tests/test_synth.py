@@ -2,24 +2,30 @@
 
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from pfclab.analysis import _mc_report
 from pfclab.designs import ANGLE_DEMO_COMPENSATOR, PAIR_A, PAIR_B
-from pfclab.plant import angle_plant, position_plant
+from pfclab.plant import PerturbedPlantParams, angle_plant, position_plant, position_plant_rows
+from pfclab.poly import trim_trailing_zeros
 from pfclab.synth import (
     LARGE,
     CoeffVector,
     GaConfig,
     ObjectiveConfig,
+    candidate_stacks,
     decode,
     encode,
     ga_search,
+    loop_rows,
     objective,
     objective_batch,
+    tf_rows,
     verify_pair,
 )
 from pfclab.tf import CompensatorPair, RationalTF, loop_denominator
@@ -245,6 +251,16 @@ class TestObjective:
             assert objective(v, ObjectiveConfig(plant=EASY)) == LARGE
             rep = verify_pair(EASY, decode(v))
         assert not rep.passed and not rep.closed_loop_stable
+        # a subnormal leading coefficient of the C, P or loop denominator
+        # leaves no finite monic form to take roots of
+        rows = np.random.default_rng(1).uniform(-12.0, 12.0, (4, 10))
+        rows[1, 4] = rows[2, 9] = 5e-324
+        cfg = ObjectiveConfig(plant=G_PEND)
+        F = objective_batch(rows, 2, cfg)
+        assert F[1] == F[2] == LARGE
+        assert F[0] == objective(CoeffVector(rows[0], 2), cfg) < LARGE
+        tiny = RationalTF((1.0,), (1.0, 5e-324))
+        assert np.all(objective_batch(rows, 2, ObjectiveConfig(plant=tiny)) == LARGE)
 
     def test_batch_matches_one_row_bit_for_bit(self):
         rng = np.random.default_rng(11)
@@ -319,6 +335,85 @@ class TestObjective:
             ObjectiveConfig(plant=EASY, penalty=0.0)
         with pytest.raises(ValueError, match="eps"):
             ObjectiveConfig(plant=EASY, eps1=-1e-9)
+
+
+# ---------------------------------------------------------------------------
+# stacked loop denominators
+# ---------------------------------------------------------------------------
+
+# grid values make zero tails, -0.0 entries, cancelling leading terms and
+# underflowing products (1e-200 squared) likely
+loop_coeff = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 1e-200]),
+    st.floats(-12.0, 12.0, allow_nan=False, allow_subnormal=False),
+)
+UNIT = RationalTF((1.0,), (1.0,))
+
+
+def candidate_rows(n_max=3):
+    """(n, rows) with one to four order-n coefficient rows."""
+    return st.integers(1, n_max).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.lists(loop_coeff, min_size=4 * n + 2, max_size=4 * n + 2), min_size=1, max_size=4),
+        )
+    )
+
+
+def assert_rows_are_loop_denominators(den, loops):
+    """Each row of ``den`` holds its loop's `loop_denominator` bit for bit.
+
+    A loop whose denominator vanishes has a zero row, which the Monte Carlo
+    studies reject with `loop_denominator`'s own error.
+    """
+    assert len(den) == len(loops)
+    for row, (G, C, P) in zip(den, loops):
+        try:
+            want = loop_denominator(G, C, P).coeffs
+        except ValueError as e:
+            assert not row.any()
+            with pytest.raises(ValueError, match=re.escape(str(e))):
+                _mc_report(row[None], 0.02, 0)
+        else:
+            assert trim_trailing_zeros(row).tobytes() == np.array(want).tobytes()
+
+
+# zero numerator tails and a zero leading C coefficient round otherwise
+# untrimmed, in a stack of one row and in a stack of several
+TAILS = [7.309703345752503, -7.844713292474592, 0.0, -3.391748868339576, 0.0,
+         4.676316893811826, -9.279440348739218, 0.15464719199642296, 0.0, -11.257241438870585]
+
+
+@given(candidate_rows(), st.sampled_from([G_PEND, EASY, UNIT, RationalTF((0.0, 1.0), (1.0, 1.0))]))
+@example((2, [TAILS]), G_PEND)
+@example((2, [TAILS, TAILS]), G_PEND)
+@example((1, [[1.0, 1.0, 1.0, 1.0, -1.0, 1.0]]), EASY)  # loop degree drop
+@example((1, [[1.0, 0.0, -0.0, 1.0, 0.0, 1.0]]), EASY)  # C = 1/1 after trimming
+@example((1, [[1.0, 0.0, 1.0, 1.0, 0.0, 0.0]]), G_PEND)  # P = 1/1 after trimming
+@example((1, [[0.0, -0.0, 1.0, 2.0, 1.0, 1.0]]), G_PEND)  # C = 0
+@example((1, [[-1.0, 0.0, 0.0, 0.0, 0.0, 0.0]]), UNIT)  # C = -1, P = 0: vanishes
+def test_loop_rows_of_candidate_rows(case, G):
+    n, rows = case
+    den = loop_rows(tf_rows(G), *candidate_stacks(np.array(rows), n))
+    pairs = [decode(CoeffVector(r, n)) for r in rows]
+    assert_rows_are_loop_denominators(den, [(G, p.C, p.P) for p in pairs])
+
+
+@given(
+    st.lists(st.lists(loop_coeff, min_size=4, max_size=4), min_size=1, max_size=4),
+    st.sampled_from([0.3, 1.0]),
+    candidate_rows(n_max=2),
+)
+@example([[0.0, 0.0, 1.0, 1.0]], 0.3, (1, [[-1.0, 0.0, 0.0, 1.0, 0.0, 0.0]]))  # vanishes
+@example([[1.0, -0.0, 0.0, 1.0]], 0.3, (1, [[1.0, 1.0, 1.0, 1.0, 0.0, 1.0]]))  # A2 = 0: no s^4 term
+def test_loop_rows_of_plant_rows(factors, M, case):
+    # A2 = A3 = 0 leaves the plant without a denominator
+    assume(all(a[2] != 0.0 or a[3] != 0.0 for a in factors))
+    n, rows = case
+    pair = decode(CoeffVector(rows[0], n))
+    den = loop_rows(position_plant_rows(factors, M), tf_rows(pair.C), tf_rows(pair.P))
+    plants = [position_plant(PerturbedPlantParams(*a), M) for a in factors]
+    assert_rows_are_loop_denominators(den, [(G, pair.C, pair.P) for G in plants])
 
 
 # ---------------------------------------------------------------------------
