@@ -13,14 +13,16 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .plant import position_plant_rows
 from .plant import position_plant  # noqa: F401  (pfcbench/tracer.py patches this name here)
 from .synth import candidate_stacks, encode, loop_rows, tf_rows
-from .poly import hurwitz_stack, roots_stack, trim_trailing_zeros
+from .poly import hurwitz_stack, roots_stack
 from .tf import CompensatorPair, RationalTF
 from .tf import closed_loop  # noqa: F401  (pfcbench/tracer.py patches this name here)
 
@@ -154,17 +156,96 @@ class McReport:
 
 
 def _draws(per_trial: int, trials: int, sigma: float, seed: int) -> np.ndarray:
-    """One row of ``per_trial`` N(0, sigma) numbers per trial."""
+    """One row of ``per_trial`` N(0, sigma) numbers per trial.
+
+    Trial t draws from ``default_rng([seed, t])``, bit for bit, so trial
+    order, serial or parallel, cannot change any draw; the substreams'
+    seed words come from one array pass over every trial.
+    """
     if trials < 1:
         raise ValueError("need at least one trial")
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise ValueError("sigma must be finite and nonnegative")
-    # substream keyed by (seed, trial) so trial order, serial or parallel,
-    # cannot change any draw
     return np.array([
-        np.random.default_rng([seed, trial]).normal(0.0, sigma, per_trial)
-        for trial in range(trials)
+        np.random.Generator(np.random.PCG64(_Words(w))).normal(0.0, sigma, per_trial)
+        for w in _substream_words(seed, trials)
     ])
+
+
+# numpy's SeedSequence: hash constants, pool size in uint32 words, xorshift
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_POOL = 4
+_XSHIFT = 16
+
+
+class _Words(ISeedSequence):
+    """A seed sequence whose state is known: one row of `_substream_words`, as PCG64 asks for it."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _substream_words(seed: int, trials: int) -> np.ndarray:
+    """``SeedSequence([seed, t]).generate_state(4, np.uint64)`` for each trial t, one row each.
+
+    SeedSequence's uint32 hashing, spelled out on arrays with one lane per
+    trial: ``seed`` enters as its little-endian uint32 words, ``t`` as one.
+    """
+    entropy = [np.full(trials, w, dtype=np.uint32) for w in _seed_words(seed)]
+    entropy.append(np.arange(trials, dtype=np.uint32))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(trials, np.uint32))
+            for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    output = _hasher(_INIT_B, _MULT_B)
+    state = np.stack([output(pool[i % _POOL]) for i in range(8)], axis=1)
+    # little-endian word pairs, as SeedSequence forms uint64 words
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _seed_words(seed: int) -> list[int]:
+    """``seed`` as little-endian uint32 words, with SeedSequence's errors."""
+    try:
+        n = operator.index(seed)
+    except TypeError:
+        raise TypeError("seed must be integer") from None
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & 0xFFFFFFFF]
+    while n := n >> 32:
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's hashmix on uint32 arrays; its constant advances on each call."""
+    const = init
+
+    def hashmix(v: np.ndarray) -> np.ndarray:
+        nonlocal const
+        v = v ^ np.uint32(const)
+        const = const * mult & 0xFFFFFFFF
+        v = v * np.uint32(const)
+        return v ^ (v >> _XSHIFT)
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of pool word ``x`` with hashed word ``y``."""
+    r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return r ^ (r >> _XSHIFT)
 
 
 def _mc_report(den: np.ndarray, sigma: float, seed: int) -> McReport:
@@ -176,8 +257,9 @@ def _mc_report(den: np.ndarray, sigma: float, seed: int) -> McReport:
     """
     if not np.all(np.isfinite(den)):
         raise ValueError("polynomial coefficients must be finite")
-    degree = np.array([len(trim_trailing_zeros(row)) - 1 for row in den])
-    # only a zero row keeps a zero leading coefficient after trimming
+    # index of each row's last nonzero entry; a zero row keeps the last
+    # column, and with it a zero leading coefficient
+    degree = den.shape[1] - 1 - np.argmax(den[:, ::-1] != 0.0, axis=1)
     if not np.all(den[np.arange(len(den)), degree]):
         raise ValueError("degenerate loop: closed-loop denominator vanished")
     if not np.all(degree):

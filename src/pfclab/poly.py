@@ -319,37 +319,44 @@ def _newton(c: np.ndarray, raw: np.ndarray) -> np.ndarray:
     CPython spelled out on real and imaginary float64 arrays, so a row gets
     the same bits alone or in any batch.  A row whose eigenvalues are all
     real stays in real arithmetic, as a single eigenvalue call returns them.
+
+    The roots go into flat lanes, each with its row's index and real-row
+    flag.  A lane leaves for good once its step stops improving, so each
+    round steps only the roots still live.
     """
     n = c.shape[1] - 1
-    real = np.all(raw.imag == 0.0, axis=1)[:, None]
-    # highest degree first for Horner; + 0.0 folds -0.0 as Polynomial does
-    c_hi = c[:, ::-1] + 0.0
-    dc_hi = np.arange(n, 0, -1) * c_hi[:, :n] + 0.0
-    zr = raw.real.copy()
-    zi = np.where(real, 0.0, raw.imag)
-    # every root is stepped every round and only live ones keep the result,
-    # so discarded lanes may divide by zero or overflow without consequence
+    # highest degree first for Horner, one column per row; + 0.0 folds -0.0
+    # as Polynomial does
+    c_hi = (c[:, ::-1] + 0.0).T.copy()
+    dc_hi = np.arange(n, 0, -1)[:, None] * c_hi[:n] + 0.0
+    row = np.repeat(np.arange(len(c)), n)
+    real = np.all(raw.imag == 0.0, axis=1)[row]
+    zr = raw.real.ravel()
+    zi = np.where(real, 0.0, raw.imag.ravel())
+    out_r, out_i = zr.copy(), zi.copy()
+    lane = np.arange(zr.size)
+    # a lane is judged only after its step, so a step that divides by zero
+    # or overflows is simply not kept
     with np.errstate(all="ignore"):
-        pr, pi = _horner(c_hi, zr, zi)
+        pr, pi = _horner(c_hi, row, zr, zi)
         fr = np.hypot(pr, pi)
-        live = np.ones(zr.shape, dtype=bool)
         for _ in range(NEWTON_STEPS):
-            dr, di = _horner(dc_hi, zr, zi)
-            live &= (dr != 0.0) | (di != 0.0)
+            dr, di = _horner(dc_hi, row, zr, zi)
             qr, qi = _cdiv(pr, pi, dr, di)
             # real rows divide in real arithmetic, as Python floats would
             cr = zr - np.where(real, pr / dr, qr)
             ci = zi - np.where(real, 0.0, qi)
-            pcr, pci = _horner(c_hi, cr, ci)
+            pcr, pci = _horner(c_hi, row, cr, ci)
             fc = np.hypot(pcr, pci)
-            live &= np.isfinite(fc) & ~(fc >= fr)
-            if not live.any():
+            live = ((dr != 0.0) | (di != 0.0)) & np.isfinite(fc) & ~(fc >= fr)
+            lane, row, real, zr, zi, pr, pi, fr = (
+                x[live] for x in (lane, row, real, cr, ci, pcr, pci, fc)
+            )
+            if not lane.size:
                 break
-            zr, zi = np.where(live, cr, zr), np.where(live, ci, zi)
-            pr, pi = np.where(live, pcr, pr), np.where(live, pci, pi)
-            fr = np.where(live, fc, fr)
-    z = np.empty(zr.shape, dtype=complex)
-    z.real, z.imag = zr, zi
+            out_r[lane], out_i[lane] = zr, zi
+    z = np.empty(raw.shape, dtype=complex)
+    z.real, z.imag = out_r.reshape(raw.shape), out_i.reshape(raw.shape)
     return z
 
 
@@ -362,12 +369,12 @@ def _companions(c: np.ndarray) -> np.ndarray:
     return comp
 
 
-def _horner(c_hi: np.ndarray, zr: np.ndarray, zi: np.ndarray):
-    """Row k's polynomial at each zr[k] + i*zi[k], rounded as CPython's complex Horner."""
+def _horner(c_hi: np.ndarray, row: np.ndarray, zr: np.ndarray, zi: np.ndarray):
+    """Column row[k]'s polynomial at zr[k] + i*zi[k], rounded as CPython's complex Horner."""
     ar = np.zeros_like(zr)
     ai = np.zeros_like(zr)
-    for c in c_hi.T[:, :, None]:
-        ar, ai = ar * zr - ai * zi + c, ar * zi + ai * zr + 0.0
+    for c in c_hi:
+        ar, ai = ar * zr - ai * zi + c[row], ar * zi + ai * zr + 0.0
     return ar, ai
 
 

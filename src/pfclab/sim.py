@@ -320,7 +320,11 @@ def noise_time_response(
     s = 1j * omega
     block = max(1, int(2_000_000 / max(1, t.size)))  # bound the outer-product size
     out = []
+    sums: dict = {}
     for ch in channels.channels:
+        if ch in sums:  # equal channels (e5 is e4) share one sine sum
+            out.append(TimeSeries(t=t, y=sums[ch].copy()))
+            continue
         gain = ch(s)
         amp = c * np.abs(gain)
         psi = np.angle(gain) + phase
@@ -328,5 +332,6 @@ def noise_time_response(
         for start in range(0, spec.N, block):
             sl = slice(start, min(start + block, spec.N))
             y += np.sin(np.outer(t, omega[sl]) + psi[sl]) @ amp[sl]
+        sums[ch] = y
         out.append(TimeSeries(t=t, y=y))
     return out

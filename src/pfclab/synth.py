@@ -244,7 +244,10 @@ def loop_rows(G, C, P) -> np.ndarray:
             _mul(_mul(nc, ng), dp),
         )):
             term[i, : len(prod)] = prod
-    return (t[0] + t[1]) + t[2] + 0.0  # + 0.0 folds -0.0 as Polynomial does
+    # an overflowed product may sum inf - inf to NaN; callers refuse such a
+    # row as non-finite, so the sum need not warn
+    with np.errstate(invalid="ignore"):
+        return (t[0] + t[1]) + t[2] + 0.0  # + 0.0 folds -0.0 as Polynomial does
 
 
 def _trimmed_rows(x: np.ndarray, loops: int):

@@ -5,6 +5,7 @@ that agreement with the package is meaningful: no code is shared with
 src/pfclab beyond numpy.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,47 @@ def naive_convolve(a, b):
         for j, bj in enumerate(b):
             out[i + j] += ai * bj
     return out
+
+
+def newton_polish(c_monic, raw, steps):
+    """Each root in ``raw`` refined alone by guarded Newton steps, in scalar arithmetic.
+
+    ``c_monic`` holds ascending coefficients with a unit leading one.  A
+    root steps while p' is nonzero and |p| strictly drops, at most
+    ``steps`` times.  Rows with all-real ``raw`` divide as floats; the
+    others divide as numpy complex128 scalars.
+    """
+    hi = [float(a) + 0.0 for a in reversed(c_monic)]
+    n = len(hi) - 1
+    d_hi = [(n - k) * a + 0.0 for k, a in enumerate(hi[:n])]
+    real = all(z.imag == 0.0 for z in raw)
+
+    def horner(cs, z):
+        acc = 0j
+        for a in cs:
+            acc = acc * z + a
+        return acc
+
+    out = []
+    for z in raw:
+        z = complex(z.real, 0.0 if real else z.imag)
+        p = horner(hi, z)
+        for _ in range(steps):
+            d = horner(d_hi, z)
+            if d == 0:
+                break
+            if real:
+                q = complex(p.real / d.real, 0.0)
+            else:
+                q = complex(np.complex128(p) / np.complex128(d))
+            cand = complex(z.real - q.real, z.imag - q.imag)
+            pc = horner(hi, cand)
+            fc = math.hypot(pc.real, pc.imag)
+            if not math.isfinite(fc) or fc >= math.hypot(p.real, p.imag):
+                break
+            z, p = cand, pc
+        out.append(z)
+    return np.array(out, dtype=complex)
 
 
 def routh_is_stable(coeffs_ascending):

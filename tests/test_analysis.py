@@ -9,12 +9,15 @@ from hypothesis import given, strategies as st
 from pfclab.analysis import (
     BodeCurve,
     McReport,
+    _draws,
+    _mc_report,
     bode,
     fragility_mc,
     robustness_mc,
 )
 from pfclab.designs import ANGLE_DEMO_COMPENSATOR, PAIR_A, PAIR_B
 from pfclab.plant import angle_plant, position_plant
+from pfclab.poly import Polynomial
 from pfclab.synth import verify_pair
 from pfclab.tf import CompensatorPair, RationalTF, noise_channels
 
@@ -203,6 +206,42 @@ def test_pair_a_pole_clouds_pinned():
 
 def test_pair_b_pole_clouds_pinned():
     assert cloud_digests(PAIR_B) == CLOUD_B_SHA256
+
+
+class TestDraws:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**70 + 3])
+    def test_rows_are_the_default_rng_substreams(self, seed):
+        # one array pass seeds every trial as default_rng([seed, trial]) would
+        for trials in (1, 1000):
+            for k in (4, 14):
+                want = np.array([
+                    np.random.default_rng([seed, t]).normal(0.0, 0.02, k) for t in range(trials)
+                ])
+                assert _draws(k, trials, 0.02, seed).tobytes() == want.tobytes()
+
+    def test_seed_errors_are_the_library_errors(self):
+        for draw in (lambda s: _draws(4, 2, 0.02, s), lambda s: np.random.default_rng([s, 0])):
+            with pytest.raises(ValueError, match="expected non-negative integer"):
+                draw(-1)
+            with pytest.raises(TypeError, match="seed must be integer"):
+                draw(1.5)
+
+
+def test_report_degree_is_the_last_nonzero_entry():
+    den = np.array([
+        [2.0, 3.0, 1.0, 0.0, 0.0],  # (s+1)(s+2)
+        [6.0, 11.0, 6.0, 1.0, 0.0],  # (s+1)(s+2)(s+3)
+        [-1.0, 0.0, 0.0, 0.0, 1.0],  # s^4 - 1
+    ])
+    rep = _mc_report(den, 0.0, 0)
+    assert rep.unstable_count == 1
+    for trial, row in enumerate(den):
+        zs = [z for t, z in rep.pole_cloud if t == trial]
+        assert np.array(zs).tobytes() == Polynomial(row).roots().tobytes()
+    with pytest.raises(ValueError, match="degenerate loop: closed-loop denominator vanished"):
+        _mc_report(np.vstack([den, np.zeros(5)]), 0.0, 0)
+    with pytest.raises(ValueError, match="a nonzero constant has no roots"):
+        _mc_report(np.vstack([den, [3.0, 0.0, 0.0, 0.0, 0.0]]), 0.0, 0)
 
 
 class TestRobustnessMc:

@@ -17,7 +17,7 @@ from helpers import (
     separated,
     stable_root,
 )
-from oracles import naive_convolve, routh_is_stable, critical_gain_cubic
+from oracles import critical_gain_cubic, naive_convolve, newton_polish, routh_is_stable
 
 S = Polynomial((0.0, 1.0))
 
@@ -466,6 +466,41 @@ def test_roots_batch_real_row_beside_complex_rows():
     assert batch[0].tobytes() == complex_row.roots().tobytes()
     assert np.all(batch[1].imag == 0.0) and np.any(batch[0].imag != 0.0)
     assert batch[3].tobytes() == (real_row * S).roots().tobytes()
+
+
+def test_newton_lanes_give_each_row_its_own_bits(monkeypatch):
+    # one Newton call over a degree-4 stack whose lanes leave at different
+    # rounds; every row must come back as it does alone
+    from pfclab import poly
+    from pfclab.poly import _companions, _horner, _polished_roots
+
+    rows = np.array([
+        np.poly([-1.0, -2.0, -3.0, -5.0])[::-1],  # all-real
+        np.polymul([1.0, 2.0, 2.0], [1.0, 1.0, 3.0])[::-1],  # two complex pairs
+        np.poly([-4.0, -4.0, 0.5, 1.0])[::-1],  # double root at -4
+        np.poly([0.500162, 0.500113, 0.499977, 0.499933])[::-1],  # tight cluster
+    ])
+    batch = roots_stack(rows)
+    for row, z in zip(rows, batch):
+        assert roots_stack(row[None]).tobytes() == z.tobytes()
+    # the double root comes out of the eigenvalue call exactly, where
+    # p' = 0 stops its lanes before the first step
+    raw = np.linalg.eigvals(_companions(rows[2:3]))
+    assert np.count_nonzero(raw == -4.0) == 2
+    dp = (np.arange(4, 0, -1) * rows[2, :0:-1])[:, None]
+    dr, di = _horner(dp, np.zeros(1, dtype=int), np.array([-4.0]), np.zeros(1))
+    assert dr[0] == di[0] == 0.0
+    assert np.count_nonzero(batch[2] == -4.0) == 2
+    # each root polished as the scalar oracle polishes it alone
+    polished = _polished_roots(rows)
+    for row, z in zip(rows, polished):
+        alone = np.linalg.eigvals(_companions(row[None]))[0]
+        assert newton_polish(row, alone, poly.NEWTON_STEPS).tobytes() == z.tobytes()
+    # the cluster's slowest roots still improve at the last allowed step
+    monkeypatch.setattr(poly, "NEWTON_STEPS", poly.NEWTON_STEPS - 1)
+    fewer = _polished_roots(rows)
+    assert fewer[:3].tobytes() == polished[:3].tobytes()
+    assert fewer[3].tobytes() != polished[3].tobytes()
 
 
 def test_roots_batch_errors_and_empty():

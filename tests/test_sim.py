@@ -326,6 +326,13 @@ class TestNoiseTimeResponse:
         c = noise_time_response(CHANNELS_B, NoiseSpec(N=64, seed=10), t)
         assert not np.array_equal(a[0].y, c[0].y)
 
+    def test_repeated_channel_is_an_equal_copy(self):
+        # channels 4 and 5 are one transfer function: one sine sum, two arrays
+        assert CHANNELS_B.channels[3] == CHANNELS_B.channels[4]
+        out = noise_time_response(CHANNELS_B, NoiseSpec(N=32, seed=4), np.linspace(0, 5, 60))
+        assert out[4].y.tobytes() == out[3].y.tobytes()
+        assert not np.shares_memory(out[3].y, out[4].y)
+
     def test_unstable_channel_rejected(self):
         bad = NoiseChannelSet(
             channels=tuple(Polynomial((1.0,)) for _ in range(6)),

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from pfclab.analysis import _mc_report
+from pfclab.analysis import _mc_report, fragility_mc
 from pfclab.designs import ANGLE_DEMO_COMPENSATOR, PAIR_A, PAIR_B
 from pfclab.plant import PerturbedPlantParams, angle_plant, position_plant, position_plant_rows
 from pfclab.poly import trim_trailing_zeros
@@ -376,6 +376,18 @@ def assert_rows_are_loop_denominators(den, loops):
                 _mc_report(row[None], 0.02, 0)
         else:
             assert trim_trailing_zeros(row).tobytes() == np.array(want).tobytes()
+
+
+def test_overflowed_loop_products_are_refused_without_a_warning():
+    # a product that overflows makes the loop sum inf - inf; the row is
+    # refused downstream as non-finite, with no RuntimeWarning on the way
+    q = np.asarray(encode(PAIR_A).q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="polynomial coefficients must be finite"):
+            fragility_mc(G_PEND, PAIR_A.C, PAIR_A.P, trials=2, sigma=1e300)
+        F = objective_batch(np.array([q, q * 1e160]), 3, ObjectiveConfig(plant=G_PEND))
+    assert F[0] == F_PAIR_A and F[1] == LARGE
 
 
 # zero numerator tails and a zero leading C coefficient round otherwise
