@@ -9,7 +9,7 @@ and stress-test such pairs.
 
 __version__ = "0.1.0"
 
-from .plant import PendulumParams, PerturbedPlantParams
+from .plant import PendulumParams
 from .poly import Polynomial
 from .tf import CompensatorPair, RationalTF
 
@@ -18,6 +18,5 @@ __all__ = [
     "RationalTF",
     "CompensatorPair",
     "PendulumParams",
-    "PerturbedPlantParams",
     "__version__",
 ]

@@ -21,9 +21,9 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .plant import position_plant_rows
 from .plant import position_plant  # noqa: F401  (pfcbench/tracer.py patches this name here)
-from .synth import candidate_stacks, encode, loop_rows, tf_rows
-from .poly import hurwitz_stack, roots_stack
-from .tf import CompensatorPair, RationalTF
+from .synth import candidate_stacks, encode
+from .poly import roots_rows
+from .tf import CompensatorPair, RationalTF, loop_rows, tf_rows
 from .tf import closed_loop  # noqa: F401  (pfcbench/tracer.py patches this name here)
 
 GRID_POINTS = 1000
@@ -252,30 +252,18 @@ def _mc_report(den: np.ndarray, sigma: float, seed: int) -> McReport:
     """Verdicts and pole cloud of the trials' loop denominators, rows of ``den``.
 
     A trial with any root in the closed right half plane, the imaginary
-    axis included, counts as unstable.  Rows are grouped by degree; each
-    group takes one `roots_stack` call and one `hurwitz_stack` verdict.
+    axis included, counts as unstable.  All roots and verdicts come from
+    one `roots_rows` call.
     """
-    if not np.all(np.isfinite(den)):
-        raise ValueError("polynomial coefficients must be finite")
-    # index of each row's last nonzero entry; a zero row keeps the last
-    # column, and with it a zero leading coefficient
-    degree = den.shape[1] - 1 - np.argmax(den[:, ::-1] != 0.0, axis=1)
-    if not np.all(den[np.arange(len(den)), degree]):
+    if not np.all(np.any(den, axis=1)):
         raise ValueError("degenerate loop: closed-loop denominator vanished")
-    if not np.all(degree):
+    poles, stable = roots_rows(den)
+    if not all(map(len, poles)):
         raise ValueError("a nonzero constant has no roots")
-    poles: list = [None] * len(den)
-    stable = np.zeros(len(den), dtype=bool)
-    for d in set(degree.tolist()):
-        rows = np.flatnonzero(degree == d)
-        z = roots_stack(den[rows, : d + 1])
-        stable[rows] = hurwitz_stack(den[rows, : d + 1], z)
-        for trial, zs in zip(rows.tolist(), z.tolist()):
-            poles[trial] = zs
     return McReport(
         trials=len(den),
         unstable_count=int(np.count_nonzero(~stable)),
-        pole_cloud=tuple((trial, z) for trial, zs in enumerate(poles) for z in zs),
+        pole_cloud=tuple((trial, z) for trial, zs in enumerate(poles) for z in zs.tolist()),
         seed=seed,
         sigma=sigma,
     )

@@ -8,6 +8,7 @@ value is M = 0.3.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,28 +28,11 @@ class PendulumParams:
 
     def __post_init__(self):
         for name in ("M", "L", "m", "g"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
-
-
-@dataclass(frozen=True)
-class PerturbedPlantParams:
-    """Multiplicative perturbation factors on the four plant coefficients.
-
-    The position plant is written (A0*s^2 - A1) / (s^2*(M*A2*s^2 -
-    (1+M)*A3)); the nominal plant has all factors at 1.  Negative values are
-    legal (a Monte Carlo draw may produce them at large sigma).
-    """
-
-    A0: float = 1.0
-    A1: float = 1.0
-    A2: float = 1.0
-    A3: float = 1.0
-
-    def __post_init__(self):
-        for name in ("A0", "A1", "A2", "A3"):
-            if not np.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
+            if value <= 0.0:
+                raise ValueError(f"{name} must be strictly positive")
 
 
 @dataclass
@@ -70,15 +54,14 @@ class StateSpace:
 # ---------------------------------------------------------------------------
 
 
-def position_plant(
-    params: PerturbedPlantParams = PerturbedPlantParams(), M: float = 0.3
-) -> RationalTF:
+def position_plant(M: float = 0.3) -> RationalTF:
     """Force-to-cart-position transfer function.
 
-    (A0*s^2 - A1) / (s^2*(M*A2*s^2 - (1+M)*A3)); the nominal factors give
-    the benchmark plant with zeros at +-1 and poles {0, 0, +-sqrt((1+M)/M)}.
+    (s^2 - 1) / (s^2*(M*s^2 - (1+M))), the benchmark plant with zeros at
+    +-1 and poles {0, 0, +-sqrt((1+M)/M)}: `position_plant_rows` with every
+    factor at 1.
     """
-    num, den = position_plant_rows([[params.A0, params.A1, params.A2, params.A3]], M)
+    num, den = position_plant_rows([[1.0, 1.0, 1.0, 1.0]], M)
     return RationalTF(num[0], den[0])
 
 
@@ -86,7 +69,9 @@ def position_plant_rows(factors, M: float = 0.3) -> tuple[np.ndarray, np.ndarray
     """Numerator and denominator coefficient rows of `position_plant`.
 
     One row each per row (A0, A1, A2, A3) of ``factors``: the coefficients
-    of (A0*s^2 - A1) / (s^2*(M*A2*s^2 - (1+M)*A3)), ascending.
+    of (A0*s^2 - A1) / (s^2*(M*A2*s^2 - (1+M)*A3)), ascending.  The factors
+    are multiplicative perturbations of the plant coefficients, each 1 in
+    the nominal plant.
     """
     if M <= 0.0:
         raise ValueError("cart mass must be strictly positive")

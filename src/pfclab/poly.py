@@ -152,11 +152,13 @@ class Polynomial:
     def roots(self) -> np.ndarray:
         """All complex roots, with multiplicity, sorted by (real, imag).
 
-        The one-row case of `roots_batch`: exact zero roots are split off
+        The one-row case of `roots_rows`: exact zero roots are split off
         first, so a plant with a double pole at the origin reports them as
         exactly 0, and the rest are polished companion-matrix eigenvalues.
         """
-        return roots_batch([self])[0]
+        if self.degree == 0:
+            raise ValueError("a nonzero constant has no roots")
+        return roots_rows(np.array([self.coeffs]))[0][0]
 
     def is_hurwitz(self) -> bool:
         """True iff every root lies strictly in the open left half plane.
@@ -193,16 +195,6 @@ class Polynomial:
             else:
                 terms.append(f"{c:g}*s^{k}")
         return "Polynomial(" + " + ".join(terms) + ")"
-
-
-def hurwitz_from_roots(p: Polynomial, roots: np.ndarray) -> bool:
-    """``p.is_hurwitz()``, from the roots of ``p`` already found.
-
-    The one-row case of `hurwitz_stack`; with no roots, `is_hurwitz` decides.
-    """
-    if len(roots):
-        return bool(hurwitz_stack(np.array([p.coeffs]), roots[None])[0])
-    return p.is_hurwitz()
 
 
 def hurwitz_stack(c: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -247,25 +239,33 @@ def _as_poly(x) -> Polynomial:
     raise TypeError(f"cannot interpret {type(x).__name__} as Polynomial")
 
 
-def roots_batch(polys: Sequence[Polynomial]) -> list[np.ndarray]:
-    """Roots of each polynomial, as `Polynomial.roots` documents them.
+def roots_rows(c: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Roots and `Polynomial.is_hurwitz` verdict of each row of the 2-D stack ``c``.
 
-    The polynomials are grouped by degree and each group goes through
-    `roots_stack` as one array, so a row's roots do not depend on the other
-    rows in the batch.
+    Rows hold ascending coefficients, zero-padded on the right, and a row's
+    degree is the index of its last nonzero entry.  The rows of one degree
+    take one `roots_stack` call and one `hurwitz_stack` verdict, so a row's
+    roots and verdict do not depend on the other rows.  A nonzero constant
+    row has no roots and is Hurwitz; a zero row or a non-finite entry is an
+    error.
     """
-    out: list = [None] * len(polys)
-    groups: dict[int, list[int]] = {}
-    for i, p in enumerate(polys):
-        if p.is_zero:
-            raise ValueError("undefined roots: the zero polynomial")
-        if p.degree == 0:
-            raise ValueError("a nonzero constant has no roots")
-        groups.setdefault(p.degree, []).append(i)
-    for rows in groups.values():
-        for i, z in zip(rows, roots_stack(np.array([polys[i].coeffs for i in rows]))):
-            out[i] = z
-    return out
+    c = np.asarray(c, dtype=float)
+    if not np.all(np.isfinite(c)):
+        raise ValueError("polynomial coefficients must be finite")
+    nonzero = c != 0.0
+    if not np.all(np.any(nonzero, axis=1)):
+        raise ValueError("undefined roots: the zero polynomial")
+    degree = c.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+    roots: list = [np.zeros(0, dtype=complex)] * len(c)
+    ok = np.ones(len(c), dtype=bool)
+    for d in set(degree.tolist()) - {0}:
+        rows = np.flatnonzero(degree == d)
+        group = c[rows, : d + 1]
+        z = roots_stack(group)
+        ok[rows] = hurwitz_stack(group, z)
+        for i, zi in zip(rows.tolist(), z):
+            roots[i] = zi
+    return roots, ok
 
 
 def roots_stack(c: np.ndarray) -> np.ndarray:

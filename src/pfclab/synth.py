@@ -23,14 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .poly import (
-    hurwitz_from_roots,
-    monic_is_finite,
-    roots_batch,
-    roots_stack,
-    trim_trailing_zeros,
-)
-from .tf import CompensatorPair, RationalTF, loop_denominator
+from .poly import monic_is_finite, roots_rows, roots_stack
+from .tf import CompensatorPair, RationalTF, loop_denominator, loop_rows, tf_rows
 from .tf import closed_loop  # noqa: F401  (pfcbench/tracer.py patches this name here)
 
 # Score assigned to degenerate candidates (degree collapse anywhere);
@@ -55,11 +49,6 @@ class CoeffVector:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "n", n)
 
-    def split(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """(a block, b block), each of length 2n+1."""
-        half = 2 * self.n + 1
-        return self.q[:half], self.q[half:]
-
 
 def _checked_rows(rows, n: int) -> np.ndarray:
     """``rows`` as a 2-D float array, once each is a valid order-n vector."""
@@ -83,10 +72,8 @@ def decode(vec: CoeffVector) -> CompensatorPair:
     No stability or properness screening happens here; bad candidates are
     scored by `objective` and judged by `verify_pair`.
     """
-    n = vec.n
-    a, b = vec.split()
-    C = RationalTF(a[: n + 1], (1.0,) + a[n + 1 :])
-    P = RationalTF(b[: n + 1], (1.0,) + b[n + 1 :])
+    (nC, dC), (nP, dP) = candidate_stacks(np.array([vec.q]), vec.n)
+    C, P = RationalTF(nC[0], dC[0]), RationalTF(nP[0], dP[0])
     return CompensatorPair(C=C, P=P, label="candidate")
 
 
@@ -167,7 +154,7 @@ def objective_batch(rows, n: int, cfg: ObjectiveConfig) -> np.ndarray:
     """`objective` of each order-n coefficient row, bit for bit.
 
     C, P and the loop denominator are read off row slices by
-    `candidate_stacks` and `loop_rows`, with no `Polynomial` per candidate.
+    `candidate_stacks` and `tf.loop_rows`, with no `Polynomial` per candidate.
     Each candidate's C and P roots come from one `roots_stack` call and its
     loop roots from another, and the score is taken over those root arrays.
     A row scores LARGE when its C, P or loop denominator loses its leading
@@ -212,62 +199,6 @@ def candidate_stacks(q: np.ndarray, n: int):
     C = q[:, : n + 1], np.hstack([one, q[:, n + 1 : 2 * n + 1]])
     P = q[:, 2 * n + 1 : 3 * n + 2], np.hstack([one, q[:, 3 * n + 2 :]])
     return C, P
-
-
-def tf_rows(tf: RationalTF):
-    """(num, den) of ``tf`` as one-row stacks, which `loop_rows` shares among all loops."""
-    return [tf.num.coeffs], [tf.den.coeffs]
-
-
-def loop_rows(G, C, P) -> np.ndarray:
-    """`loop_denominator` of each of a stack of loops, bit for bit.
-
-    G, C and P are (num, den) pairs of 2-D stacks of ascending coefficient
-    rows, one row per loop; a stack of one row serves every loop.  Each
-    loop's three products are per-row `np.convolve` calls on trimmed
-    slices, associated as `loop_denominator` associates them, so they round
-    as that function does; the products are summed over the stacked rows.
-    Returns one row per loop, zero-padded to a common width; a loop whose
-    denominator vanishes comes back as a zero row, and nothing is raised.
-    """
-    tfs = [[np.asarray(x, dtype=float) + 0.0 for x in tf] for tf in (G, C, P)]
-    width = sum(max(x.shape[1] for x in tf) for tf in tfs) - 2
-    stacks = [x for tf in tfs for x in tf]
-    sizes = {len(x) for x in stacks} - {1}
-    loops = sizes.pop() if sizes else 1
-    t = np.zeros((3, loops, width))
-    rows = (_trimmed_rows(x, loops) for x in stacks)
-    for i, (ng, dg, nc, dc, npp, dp) in enumerate(zip(*rows, strict=True)):
-        for term, prod in zip(t, (
-            _mul(_mul(dc, dg), dp),
-            _mul(_mul(nc, npp), dg),
-            _mul(_mul(nc, ng), dp),
-        )):
-            term[i, : len(prod)] = prod
-    # an overflowed product may sum inf - inf to NaN; callers refuse such a
-    # row as non-finite, so the sum need not warn
-    with np.errstate(invalid="ignore"):
-        return (t[0] + t[1]) + t[2] + 0.0  # + 0.0 folds -0.0 as Polynomial does
-
-
-def _trimmed_rows(x: np.ndarray, loops: int):
-    """The rows of stack ``x`` trimmed, one at a time; a single row serves every loop."""
-    if len(x) == 1:
-        return [trim_trailing_zeros(x[0])] * loops
-    # a row with a nonzero last entry is its own trim
-    return iter(x) if np.all(x[:, -1] != 0.0) else map(trim_trailing_zeros, x)
-
-
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a*b`` trimmed as `Polynomial` trims it.
-
-    `np.convolve` sums in an order set by which operand is longer, so the
-    products round as `Polynomial.__mul__` rounds them only on trimmed
-    operands.
-    """
-    p = np.convolve(a, b)
-    # on trimmed operands only an underflow leaves a zero last entry
-    return p if p[-1] != 0.0 else trim_trailing_zeros(p)
 
 
 @dataclass(frozen=True)
@@ -481,17 +412,19 @@ def verify_pair(G: RationalTF, pair: CompensatorPair) -> VerificationReport:
 
     Works from the raw polynomials: the closed-loop denominator is
     assembled without cancellation, so a pair that only looks stable after
-    cancelling an unstable factor fails here.  All poles come from one root
-    batch; a constant denominator has none (rightmost -inf), and a zero loop
-    denominator goes into the batch so that `roots_batch` rejects it.  Each
-    stable flag is `Polynomial.is_hurwitz`'s exact verdict, so a pole on
-    the imaginary axis fails even when its float real part is negative.
+    cancelling an unstable factor fails here.  All poles and stable flags
+    come from one `roots_rows` call; a constant denominator has no poles
+    (rightmost -inf).  Each stable flag is `Polynomial.is_hurwitz`'s exact
+    verdict, so a pole on the imaginary axis fails even when its float real
+    part is negative.
     """
     dens = (pair.C.den, pair.P.den, loop_denominator(G, pair.C, pair.P))
-    found = iter(roots_batch([d for d in dens if d.degree != 0]))
-    roots = [next(found) if d.degree else np.zeros(0, dtype=complex) for d in dens]
+    stack = np.zeros((3, max(len(d.coeffs) for d in dens)))
+    for row, d in zip(stack, dens):
+        row[: len(d.coeffs)] = d.coeffs
+    roots, ok = roots_rows(stack)
     c_r, p_r, h_r = (float(z.real.max()) if len(z) else -math.inf for z in roots)
-    c_ok, p_ok, h_ok = (hurwitz_from_roots(d, z) for d, z in zip(dens, roots))
+    c_ok, p_ok, h_ok = ok.tolist()
     return VerificationReport(
         c_proper=pair.C.is_proper,
         p_proper=pair.P.is_proper,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import Polynomial
+from .poly import Polynomial, trim_trailing_zeros
 
 # Real/RHP classification tolerance for the strong-stabilizability test.
 PIP_TOL = 1e-7
@@ -91,7 +91,7 @@ class RationalTF:
     def __mul__(self, other):
         if isinstance(other, (int, float, np.integer, np.floating)):
             return RationalTF(self.num * float(other), self.den)
-        return series(self, other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -168,13 +168,71 @@ class StabilizabilityVerdict:
 def loop_denominator(G: RationalTF, C: RationalTF, P: RationalTF) -> Polynomial:
     """Loop denominator d_C d_G d_P + n_C n_P d_G + n_C n_G d_P.
 
-    Exact and returned as computed, even when leading coefficients cancel;
-    never warns.  Raises ValueError when it vanishes identically.
+    The one-row case of `loop_rows`.  Exact and returned as computed, even
+    when leading coefficients cancel; never warns.  Raises ValueError when
+    it vanishes identically.
     """
-    den = C.den * G.den * P.den + C.num * P.num * G.den + C.num * G.num * P.den
+    den = Polynomial(loop_rows(tf_rows(G), tf_rows(C), tf_rows(P))[0])
     if den.is_zero:
         raise ValueError("degenerate loop: closed-loop denominator vanished")
     return den
+
+
+def tf_rows(tf: RationalTF):
+    """(num, den) of ``tf`` as one-row stacks, which `loop_rows` shares among all loops."""
+    return [tf.num.coeffs], [tf.den.coeffs]
+
+
+def loop_rows(G, C, P) -> np.ndarray:
+    """The loop denominator of each of a stack of loops.
+
+    G, C and P are (num, den) pairs of 2-D stacks of ascending coefficient
+    rows, one row per loop; a stack of one row serves every loop.  Each
+    loop's three products d_C d_G d_P, n_C n_P d_G and n_C n_G d_P are
+    per-row `np.convolve` calls on trimmed slices, associated left to
+    right, so they round as `Polynomial` products do; the products are
+    summed over the stacked rows.  Returns one row per loop, zero-padded to
+    a common width; a loop whose denominator vanishes comes back as a zero
+    row, and nothing is raised.
+    """
+    tfs = [[np.asarray(x, dtype=float) + 0.0 for x in tf] for tf in (G, C, P)]
+    width = sum(max(x.shape[1] for x in tf) for tf in tfs) - 2
+    stacks = [x for tf in tfs for x in tf]
+    sizes = {len(x) for x in stacks} - {1}
+    loops = sizes.pop() if sizes else 1
+    t = np.zeros((3, loops, width))
+    rows = (_trimmed_rows(x, loops) for x in stacks)
+    for i, (ng, dg, nc, dc, npp, dp) in enumerate(zip(*rows, strict=True)):
+        for term, prod in zip(t, (
+            _mul(_mul(dc, dg), dp),
+            _mul(_mul(nc, npp), dg),
+            _mul(_mul(nc, ng), dp),
+        )):
+            term[i, : len(prod)] = prod
+    # an overflowed product may sum inf - inf to NaN; callers refuse such a
+    # row as non-finite, so the sum need not warn
+    with np.errstate(invalid="ignore"):
+        return (t[0] + t[1]) + t[2] + 0.0  # + 0.0 folds -0.0 as Polynomial does
+
+
+def _trimmed_rows(x: np.ndarray, loops: int):
+    """The rows of stack ``x`` trimmed, one at a time; a single row serves every loop."""
+    if len(x) == 1:
+        return [trim_trailing_zeros(x[0])] * loops
+    # a row with a nonzero last entry is its own trim
+    return iter(x) if np.all(x[:, -1] != 0.0) else map(trim_trailing_zeros, x)
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a*b`` trimmed as `Polynomial` trims it.
+
+    `np.convolve` sums in an order set by which operand is longer, so the
+    products round as `Polynomial.__mul__` rounds them only on trimmed
+    operands.
+    """
+    p = np.convolve(a, b)
+    # on trimmed operands only an underflow leaves a zero last entry
+    return p if p[-1] != 0.0 else trim_trailing_zeros(p)
 
 
 def closed_loop(G: RationalTF, C: RationalTF, P: RationalTF) -> RationalTF:
@@ -287,15 +345,3 @@ def noise_channels(G: RationalTF, C: RationalTF, P: RationalTF) -> NoiseChannelS
     e6 = -1.0 * e1
     chans = tuple(RationalTF(n, den) for n in (e1, e2, e3, e4, e5, e6))
     return NoiseChannelSet(channels=chans, common_den=den)
-
-
-# ---------------------------------------------------------------------------
-# block algebra
-# ---------------------------------------------------------------------------
-
-
-def series(a: RationalTF, b: RationalTF) -> RationalTF:
-    den = a.den * b.den
-    if den.is_zero:
-        raise ValueError("degenerate composition: denominator vanished")
-    return RationalTF(a.num * b.num, den)

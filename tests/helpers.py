@@ -123,6 +123,13 @@ def constant(c: float) -> RationalTF:
     return RationalTF((float(c),), (1.0,))
 
 
+def series(a: RationalTF, b: RationalTF) -> RationalTF:
+    den = a.den * b.den
+    if den.is_zero:
+        raise ValueError("degenerate composition: denominator vanished")
+    return RationalTF(a.num * b.num, den)
+
+
 def parallel(a: RationalTF, b: RationalTF) -> RationalTF:
     den = a.den * b.den
     if den.is_zero:
@@ -136,6 +143,15 @@ def feedback(fwd: RationalTF, fb: RationalTF) -> RationalTF:
     if den.is_zero:
         raise ValueError("degenerate loop: denominator vanished")
     return RationalTF(fwd.num * fb.den, den)
+
+
+def loop_denominator_formula(G: RationalTF, C: RationalTF, P: RationalTF) -> Polynomial:
+    """d_C d_G d_P + n_C n_P d_G + n_C n_G d_P in exact `Polynomial` arithmetic.
+
+    The reference for `tf.loop_rows` and `tf.loop_denominator`, which must
+    match it bit for bit; it is the zero polynomial when the loop vanishes.
+    """
+    return C.den * G.den * P.den + C.num * P.num * G.den + C.num * G.num * P.den
 
 
 def tf_equal_up_to_scale(a: RationalTF, b: RationalTF, rtol: float = 1e-9) -> bool:

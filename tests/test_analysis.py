@@ -252,6 +252,8 @@ class TestRobustnessMc:
     def test_pair_b_count_band(self):
         rep = robustness_mc(PAIR_B.C, PAIR_B.P, trials=1000, sigma=0.02, seed=0)
         assert 15 <= rep.unstable_count <= 90
+        # the cloud holds one int object per trial, shared by its poles
+        assert len({id(t) for t, _ in rep.pole_cloud}) == rep.trials
 
     def test_pair_a_count_band(self):
         rep = robustness_mc(PAIR_A.C, PAIR_A.P, trials=1000, sigma=0.02, seed=0)

@@ -4,11 +4,11 @@ from hypothesis import given, strategies as st
 
 from pfclab.plant import (
     PendulumParams,
-    PerturbedPlantParams,
     angle_plant,
     linear_plant,
     nonlinear_derivatives,
     position_plant,
+    position_plant_rows,
 )
 from pfclab.poly import Polynomial
 
@@ -22,18 +22,12 @@ class TestParams:
 
     @pytest.mark.parametrize("field", ["M", "L", "m", "g"])
     def test_rejects_nonpositive(self, field):
-        with pytest.raises(ValueError):
-            PendulumParams(**{field: 0.0})
-        with pytest.raises(ValueError):
-            PendulumParams(**{field: -1.0})
-
-    def test_perturbation_defaults_nominal(self):
-        q = PerturbedPlantParams()
-        assert (q.A0, q.A1, q.A2, q.A3) == (1.0, 1.0, 1.0, 1.0)
-
-    def test_perturbation_rejects_nan(self):
-        with pytest.raises(ValueError):
-            PerturbedPlantParams(A2=float("nan"))
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match=f"^{field} must be strictly positive$"):
+                PendulumParams(**{field: bad})
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+                PendulumParams(**{field: bad})
 
 
 class TestPositionPlant:
@@ -55,10 +49,14 @@ class TestPositionPlant:
         np.testing.assert_allclose(np.sort_complex(p), expect, atol=1e-9)
 
     def test_perturbation_scales_coefficients(self):
-        q = PerturbedPlantParams(A0=2.0, A1=0.5, A2=3.0, A3=0.25)
-        g = position_plant(q, M=0.5)
-        assert g.num.coeffs == (-0.5, 0.0, 2.0)
-        assert g.den.coeffs == (0.0, 0.0, -1.5 * 0.25, 0.0, 0.5 * 3.0)
+        num, den = position_plant_rows([[2.0, 0.5, 3.0, 0.25], [1.0, 1.0, 1.0, 1.0]], M=0.5)
+        assert num.tolist() == [[-0.5, 0.0, 2.0], [-1.0, 0.0, 1.0]]
+        assert den.tolist() == [
+            [0.0, 0.0, -1.5 * 0.25, 0.0, 0.5 * 3.0],
+            [0.0, 0.0, -1.5, 0.0, 0.5],
+        ]
+        g = position_plant(M=0.5)
+        assert (g.num.coeffs, g.den.coeffs) == (tuple(num[1]), tuple(den[1]))
 
     def test_rejects_bad_mass(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from pfclab.poly import Polynomial, hurwitz_from_roots, roots_batch, roots_stack
+from pfclab.poly import Polynomial, roots_rows, roots_stack
 from pfclab.tf import RationalTF, loop_denominator
 
 from helpers import (
@@ -231,7 +231,9 @@ def test_is_hurwitz_gain_cubic(K, stable):
 def test_roots_on_the_axis_are_not_hurwitz(coeffs):
     p = Polynomial(coeffs)
     assert not p.is_hurwitz()
-    assert not hurwitz_from_roots(p, p.roots())
+    roots, ok = roots_rows(np.array([coeffs]))
+    assert roots[0].tobytes() == p.roots().tobytes()
+    assert not ok[0]
     assert not routh_is_stable(coeffs)
 
 
@@ -268,7 +270,7 @@ def test_hurwitz_agrees_with_routh_on_1000_random_polynomials():
             assert p.is_hurwitz() == routh_is_stable(ints.tolist()), f"coeffs={list(c)}"
             continue
         assert p.is_hurwitz() == routh_is_stable(c), f"coeffs={list(c)}"
-        assert hurwitz_from_roots(p, roots) == p.is_hurwitz(), f"coeffs={list(c)}"
+        assert roots_rows(np.array([c]))[1][0] == p.is_hurwitz(), f"coeffs={list(c)}"
         # residual contract: checked where evaluation noise (which grows
         # like |root|^degree) does not swamp the bound
         if np.max(np.abs(roots)) <= 3.0:
@@ -375,15 +377,23 @@ def test_roots_output_is_conjugate_closed():
 # ---------------------------------------------------------------------------
 
 # SHA-256 of the roots of `digest_polynomials()`, recorded with the scalar
-# Newton engine that `roots_batch` replaced (Python 3.11.7, numpy 2.4.6 with
+# Newton engine that the batched engine replaced (Python 3.11.7, numpy 2.4.6 with
 # its bundled OpenBLAS); another LAPACK build may round eigenvalues otherwise.
 ROOTS_SHA256 = "b70888aa1608068a0a2343ed3a1a5dac07cb75cd01607776338cb87b0119eb09"
 
 
 def test_roots_match_the_pinned_scalar_engine_bits():
     polys = digest_polynomials()
-    assert array_digest(roots_batch(polys)) == ROOTS_SHA256
+    assert array_digest(roots_rows(padded(polys))[0]) == ROOTS_SHA256
     assert array_digest(p.roots() for p in polys) == ROOTS_SHA256
+
+
+def padded(polys):
+    """The coefficients of ``polys`` as one stack, rows zero-padded on the right."""
+    c = np.zeros((len(polys), max((len(p.coeffs) for p in polys), default=1)))
+    for row, p in zip(c, polys):
+        row[: len(p.coeffs)] = p.coeffs
+    return c
 
 
 small = st.integers(-30, 30).map(lambda k: k / 10.0)
@@ -416,8 +426,10 @@ batch_row = st.one_of(
 
 @given(st.lists(batch_row, min_size=1, max_size=12))
 def test_roots_batch_matches_each_row_alone(polys):
-    for p, r in zip(polys, roots_batch(polys)):
+    roots, ok = roots_rows(padded(polys))
+    for p, r, verdict in zip(polys, roots, ok.tolist()):
         assert r.tobytes() == p.roots().tobytes()
+        assert verdict == p.is_hurwitz()
 
 
 @given(st.lists(batch_row, min_size=1, max_size=12))
@@ -427,7 +439,7 @@ def test_roots_batch_pairs_conjugates_bitwise_and_sorts(polys):
     # near-real roots and sorting pairs the rest
     from pfclab.poly import _polished_roots
 
-    for p, r in zip(polys, roots_batch(polys)):
+    for p, r in zip(polys, roots_rows(padded(polys))[0]):
         c = np.asarray(p.coeffs)
         c = c[np.flatnonzero(c)[0] :]
         if len(c) > 1:
@@ -461,7 +473,7 @@ def test_roots_batch_real_row_beside_complex_rows():
     assert np.isrealobj(np.linalg.eigvals(companion(real_row)))
     stack = np.stack([companion(complex_row), companion(real_row)])
     assert np.iscomplexobj(np.linalg.eigvals(stack))
-    batch = roots_batch([complex_row, real_row, complex_row, real_row * S])
+    batch = roots_rows(padded([complex_row, real_row, complex_row, real_row * S]))[0]
     assert batch[1].tobytes() == real_row.roots().tobytes()
     assert batch[0].tobytes() == complex_row.roots().tobytes()
     assert np.all(batch[1].imag == 0.0) and np.any(batch[0].imag != 0.0)
@@ -504,12 +516,17 @@ def test_newton_lanes_give_each_row_its_own_bits(monkeypatch):
 
 
 def test_roots_batch_errors_and_empty():
-    assert roots_batch([]) == []
-    with pytest.raises(ValueError, match="zero polynomial"):
-        roots_batch([S, Polynomial((0.0,))])
-    with pytest.raises(ValueError, match="constant"):
-        roots_batch([Polynomial((5.0,)), S])
-    assert roots_batch([S * S])[0].tobytes() == np.zeros(2, dtype=complex).tobytes()
+    roots, ok = roots_rows(np.zeros((0, 3)))
+    assert roots == [] and ok.shape == (0,)
+    with pytest.raises(ValueError, match="^undefined roots: the zero polynomial$"):
+        roots_rows(padded([S, Polynomial((0.0,))]))
+    with pytest.raises(ValueError, match="^undefined roots: the zero polynomial$"):
+        Polynomial((0.0,)).roots()
+    with pytest.raises(ValueError, match="^a nonzero constant has no roots$"):
+        Polynomial((5.0,)).roots()
+    with pytest.raises(ValueError, match="^polynomial coefficients must be finite$"):
+        roots_rows(np.array([[1.0, 1.0], [np.inf, 1.0]]))
+    assert roots_rows(padded([S * S]))[0][0].tobytes() == np.zeros(2, dtype=complex).tobytes()
     with pytest.raises(ValueError, match="leading"):
         roots_stack(np.array([[1.0, 2.0], [1.0, 0.0]]))
     with pytest.raises(ValueError, match="degree >= 1"):
@@ -520,3 +537,38 @@ def test_roots_batch_errors_and_empty():
             Polynomial(c).roots()
         with pytest.raises(ValueError, match="leading coefficient too small"):
             roots_stack(np.array([(1.0,) * len(c), c]))
+        with pytest.raises(ValueError, match="leading coefficient too small"):
+            roots_rows(np.array([(1.0,) * len(c), c]))
+
+
+def test_roots_rows_of_a_mixed_stack():
+    # degrees 0 to 4, zeros at the origin, a constant and axis roots,
+    # zero-padded into one stack: each row is what it is alone
+    rows = [
+        (2.0, 3.0, 1.0, 0.0, 0.0),  # (s+1)(s+2)
+        (0.0, 0.0, 6.0, 5.0, 1.0),  # s^2 (s+2)(s+3)
+        (1.0, 1.0, 1.0, 1.0, 0.0),  # (s+1)(s^2+1): roots on the axis
+        (0.0, -1.0, 0.0, 1.0, 0.0),  # s (s-1)(s+1)
+        (-4.0, 0.0, 0.0, 0.0, 0.0),  # a nonzero constant
+        (0.0, 5.0, 0.0, 0.0, 0.0),  # 5s
+        (1.0, 3.0, 3.0, 1.0, 0.0),  # (s+1)^3
+    ]
+    stack = np.array(rows)
+    roots, ok = roots_rows(stack)
+    assert ok.tolist() == [True, False, False, False, True, False, True]
+    for row, z, verdict in zip(stack, roots, ok.tolist()):
+        p = Polynomial(row)
+        assert verdict == p.is_hurwitz()
+        alone_z, alone_ok = roots_rows(row[None])
+        assert alone_z[0].tobytes() == z.tobytes() and alone_ok.tolist() == [verdict]
+        if p.degree:
+            assert z.tobytes() == p.roots().tobytes()
+        else:
+            assert z.shape == (0,)
+    assert np.count_nonzero(roots[1] == 0.0) == 2
+    assert roots[5].tolist() == [0j]
+    # a zero row or a NaN anywhere fails the whole stack with the existing errors
+    with pytest.raises(ValueError, match="^undefined roots: the zero polynomial$"):
+        roots_rows(np.vstack([stack, np.zeros(5)]))
+    with pytest.raises(ValueError, match="^polynomial coefficients must be finite$"):
+        roots_rows(np.vstack([stack, [1.0, np.nan, 1.0, 0.0, 0.0]]))

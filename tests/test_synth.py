@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-import re
 import warnings
 
 import numpy as np
@@ -11,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from pfclab.analysis import _mc_report, fragility_mc
 from pfclab.designs import ANGLE_DEMO_COMPENSATOR, PAIR_A, PAIR_B
-from pfclab.plant import PerturbedPlantParams, angle_plant, position_plant, position_plant_rows
+from pfclab.plant import angle_plant, position_plant, position_plant_rows
 from pfclab.poly import trim_trailing_zeros
 from pfclab.synth import (
     LARGE,
@@ -22,15 +21,13 @@ from pfclab.synth import (
     decode,
     encode,
     ga_search,
-    loop_rows,
     objective,
     objective_batch,
-    tf_rows,
     verify_pair,
 )
-from pfclab.tf import CompensatorPair, RationalTF, loop_denominator
+from pfclab.tf import CompensatorPair, RationalTF, loop_denominator, loop_rows, tf_rows
 
-from helpers import array_digest, rightmost_real_part
+from helpers import array_digest, loop_denominator_formula, rightmost_real_part
 from oracles import routh_is_stable
 
 G_PEND = position_plant()
@@ -126,10 +123,14 @@ class TestCoeffVector:
             CoeffVector((1, 0, 1, 0, 0, np.inf), n=1)
 
     def test_split_blocks(self):
-        v = CoeffVector(tuple(range(6)), n=1)
-        a, b = v.split()
-        assert a == (0.0, 1.0, 2.0)
-        assert b == (3.0, 4.0, 5.0)
+        # q = (C numerator, C denominator after its pinned 1, then P's the same way)
+        v = CoeffVector(tuple(range(1, 11)), n=2)
+        (nC, dC), (nP, dP) = candidate_stacks(np.array([v.q]), v.n)
+        assert (nC.tolist(), dC.tolist()) == ([[1.0, 2.0, 3.0]], [[1.0, 4.0, 5.0]])
+        assert (nP.tolist(), dP.tolist()) == ([[6.0, 7.0, 8.0]], [[1.0, 9.0, 10.0]])
+        pair = decode(v)
+        assert (pair.C.num.coeffs, pair.C.den.coeffs) == ((1.0, 2.0, 3.0), (1.0, 4.0, 5.0))
+        assert (pair.P.num.coeffs, pair.P.den.coeffs) == ((6.0, 7.0, 8.0), (1.0, 9.0, 10.0))
 
 
 class TestDecodeEncode:
@@ -360,22 +361,30 @@ def candidate_rows(n_max=3):
     )
 
 
-def assert_rows_are_loop_denominators(den, loops):
-    """Each row of ``den`` holds its loop's `loop_denominator` bit for bit.
+VANISHED = "^degenerate loop: closed-loop denominator vanished$"
 
-    A loop whose denominator vanishes has a zero row, which the Monte Carlo
-    studies reject with `loop_denominator`'s own error.
+
+def assert_rows_are_loop_denominators(den, loops):
+    """Each row of ``den`` holds its loop's reference denominator bit for bit.
+
+    The reference is the `Polynomial` formula; `loop_denominator`, the
+    one-row case, must match it too.  A loop whose denominator vanishes has
+    a zero row, which the Monte Carlo studies reject with
+    `loop_denominator`'s own error.
     """
     assert len(den) == len(loops)
     for row, (G, C, P) in zip(den, loops):
-        try:
-            want = loop_denominator(G, C, P).coeffs
-        except ValueError as e:
+        want = loop_denominator_formula(G, C, P)
+        if want.is_zero:
             assert not row.any()
-            with pytest.raises(ValueError, match=re.escape(str(e))):
+            with pytest.raises(ValueError, match=VANISHED):
+                loop_denominator(G, C, P)
+            with pytest.raises(ValueError, match=VANISHED):
                 _mc_report(row[None], 0.02, 0)
         else:
-            assert trim_trailing_zeros(row).tobytes() == np.array(want).tobytes()
+            want = np.array(want.coeffs).tobytes()
+            assert trim_trailing_zeros(row).tobytes() == want
+            assert np.array(loop_denominator(G, C, P).coeffs).tobytes() == want
 
 
 def test_overflowed_loop_products_are_refused_without_a_warning():
@@ -424,7 +433,7 @@ def test_loop_rows_of_plant_rows(factors, M, case):
     n, rows = case
     pair = decode(CoeffVector(rows[0], n))
     den = loop_rows(position_plant_rows(factors, M), tf_rows(pair.C), tf_rows(pair.P))
-    plants = [position_plant(PerturbedPlantParams(*a), M) for a in factors]
+    plants = [RationalTF(num, den) for num, den in zip(*position_plant_rows(factors, M))]
     assert_rows_are_loop_denominators(den, [(G, pair.C, pair.P) for G in plants])
 
 

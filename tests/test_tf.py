@@ -14,10 +14,9 @@ from pfclab.tf import (
     loop_denominator,
     noise_channels,
     pip_check,
-    series,
 )
 
-from helpers import constant, feedback, parallel, tf_equal_up_to_scale
+from helpers import constant, feedback, parallel, series, tf_equal_up_to_scale
 from oracles import routh_is_stable
 
 G = RationalTF([-1.0, 0.0, 1.0], [0.0, 0.0, -1.3, 0.0, 0.3])
@@ -247,6 +246,10 @@ def test_series_identity():
     got = series(G, ONE_TF)
     assert got.num.coeffs == G.num.coeffs
     assert got.den.coeffs == G.den.coeffs
+    # `*` scales by a number only; a series connection is `series`
+    assert (2.0 * G).num.coeffs == (G * 2.0).num.coeffs == (-2.0, 0.0, 2.0)
+    with pytest.raises(TypeError):
+        G * ONE_TF
 
 
 def test_feedback_angle_demo_loop_stable():
