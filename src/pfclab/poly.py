@@ -231,6 +231,16 @@ def trim_trailing_zeros(c):
     return c[:n]
 
 
+def trimmed_lengths(c: np.ndarray) -> np.ndarray:
+    """Length of each row of the 2-D stack ``c`` as `trim_trailing_zeros` leaves it.
+
+    That is up to the row's last nonzero entry, and at least 1.
+    """
+    nonzero = c[:, ::-1] != 0.0
+    nonzero[:, -1] = True  # the constant term stays
+    return c.shape[1] - nonzero.argmax(axis=1)
+
+
 def _as_poly(x) -> Polynomial:
     if isinstance(x, Polynomial):
         return x
@@ -252,10 +262,9 @@ def roots_rows(c: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     c = np.asarray(c, dtype=float)
     if not np.all(np.isfinite(c)):
         raise ValueError("polynomial coefficients must be finite")
-    nonzero = c != 0.0
-    if not np.all(np.any(nonzero, axis=1)):
+    if not np.all(np.any(c, axis=1)):
         raise ValueError("undefined roots: the zero polynomial")
-    degree = c.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+    degree = trimmed_lengths(c) - 1
     roots: list = [np.zeros(0, dtype=complex)] * len(c)
     ok = np.ones(len(c), dtype=bool)
     for d in set(degree.tolist()) - {0}:

@@ -318,7 +318,8 @@ def noise_time_response(
     phase = rng.uniform(0.0, 2.0 * np.pi, size=spec.N)
 
     s = 1j * omega
-    block = max(1, int(2_000_000 / max(1, t.size)))  # bound the outer-product size
+    block = max(1, min(spec.N, int(2_000_000 / max(1, t.size))))  # bound the outer-product size
+    buf = np.empty(t.size * block)  # one (t.size, block) sine table, refilled per block
     out = []
     sums: dict = {}
     for ch in channels.channels:
@@ -331,7 +332,12 @@ def noise_time_response(
         y = np.zeros_like(t)
         for start in range(0, spec.N, block):
             sl = slice(start, min(start + block, spec.N))
-            y += np.sin(np.outer(t, omega[sl]) + psi[sl]) @ amp[sl]
+            # a contiguous (t.size, width) table, as np.outer gave: BLAS may
+            # round the matrix product otherwise on a strided one
+            arg = buf[: t.size * (sl.stop - start)].reshape(t.size, sl.stop - start)
+            np.multiply.outer(t, omega[sl], out=arg)
+            arg += psi[sl]
+            y += np.sin(arg, out=arg) @ amp[sl]
         sums[ch] = y
         out.append(TimeSeries(t=t, y=y))
     return out

@@ -183,8 +183,9 @@ def objective_batch(rows, n: int, cfg: ObjectiveConfig) -> np.ndarray:
     p1 = np.where(right_P > right_C, right_P, right_C)  # max(right_C, right_P), NaN too
     p2 = z_H.real.max(axis=1)
     f0 = np.where(p1 >= 0.0, p2 + cfg.penalty * p1, p2)
-    # per-row dot products round as np.linalg.norm does; an axis-1 sum may not
-    norm = np.sqrt([r.dot(r) for r in rows[scored]])
+    # numpy's dot function per row rounds as np.linalg.norm does; an axis-1 sum may not
+    q = rows[scored]
+    norm = np.sqrt(np.vecdot(q, q))
     F[scored] = f0 + cfg.eps1 * norm + cfg.eps2 * np.abs(z_H).max(axis=1)
     return F
 

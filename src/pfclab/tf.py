@@ -19,11 +19,16 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .poly import Polynomial, trim_trailing_zeros
+from .poly import Polynomial, trimmed_lengths
 
 # Real/RHP classification tolerance for the strong-stabilizability test.
 PIP_TOL = 1e-7
+
+# numpy's correlate sums the full-overlap outputs of `np.convolve` in a plain
+# C loop for kernels up to this length, and in its dot function beyond it.
+SMALL_KERNEL = 11
 
 
 def _as_polynomial(x) -> Polynomial:
@@ -187,52 +192,100 @@ def loop_rows(G, C, P) -> np.ndarray:
     """The loop denominator of each of a stack of loops.
 
     G, C and P are (num, den) pairs of 2-D stacks of ascending coefficient
-    rows, one row per loop; a stack of one row serves every loop.  Each
-    loop's three products d_C d_G d_P, n_C n_P d_G and n_C n_G d_P are
-    per-row `np.convolve` calls on trimmed slices, associated left to
-    right, so they round as `Polynomial` products do; the products are
-    summed over the stacked rows.  Returns one row per loop, zero-padded to
-    a common width; a loop whose denominator vanishes comes back as a zero
-    row, and nothing is raised.
+    rows, one row per loop; a stack of one row serves every loop, and any
+    other row count must be the same in every stack (ValueError otherwise).
+    Each row is trimmed of its trailing zeros, and each loop's three
+    products d_C d_G d_P, n_C n_P d_G and n_C n_G d_P are associated left to
+    right and formed for all rows at once, a product of one-row stacks
+    staying one row.  They round as `np.convolve` and so as `Polynomial`
+    products do: with the shorter operand of length k as the kernel, the
+    k - 1 partial-overlap outputs at each end are fused BLAS dot chains, and
+    the full-overlap outputs plain left-to-right sums when k <= SMALL_KERNEL
+    and dot chains beyond (`_convolve`).  The products are summed over the
+    stacked rows.  Returns one row per loop, zero-padded to a common width;
+    a loop whose denominator vanishes comes back as a zero row, and nothing
+    is warned.
     """
-    tfs = [[np.asarray(x, dtype=float) + 0.0 for x in tf] for tf in (G, C, P)]
+    # rows of unit stride: numpy's dot function hands BLAS the row stride,
+    # and ddot rounds otherwise on strided rows
+    tfs = [[np.asarray(x, dtype=float, order="C") + 0.0 for x in tf] for tf in (G, C, P)]
     width = sum(max(x.shape[1] for x in tf) for tf in tfs) - 2
-    stacks = [x for tf in tfs for x in tf]
-    sizes = {len(x) for x in stacks} - {1}
-    loops = sizes.pop() if sizes else 1
+    counts = {len(x) for tf in tfs for x in tf} - {1}
+    if len(counts) > 1:
+        raise ValueError(
+            f"stacks of {' and '.join(map(str, sorted(counts)))} rows: every "
+            "stack needs one row or the same row count as the others"
+        )
+    loops = counts.pop() if counts else 1
+    ng, dg, nc, dc, npp, dp = ((x, trimmed_lengths(x)) for tf in tfs for x in tf)
     t = np.zeros((3, loops, width))
-    rows = (_trimmed_rows(x, loops) for x in stacks)
-    for i, (ng, dg, nc, dc, npp, dp) in enumerate(zip(*rows, strict=True)):
-        for term, prod in zip(t, (
-            _mul(_mul(dc, dg), dp),
-            _mul(_mul(nc, npp), dg),
-            _mul(_mul(nc, ng), dp),
+    # an overflowed product may hold inf or NaN, and the sum inf - inf;
+    # callers refuse such a row as non-finite, so nothing need warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for term, (prod, _) in zip(t, (
+            _product(_product(dc, dg), dp),
+            _product(_product(nc, npp), dg),
+            _product(_product(nc, ng), dp),
         )):
-            term[i, : len(prod)] = prod
-    # an overflowed product may sum inf - inf to NaN; callers refuse such a
-    # row as non-finite, so the sum need not warn
-    with np.errstate(invalid="ignore"):
+            term[:, : prod.shape[1]] = prod
         return (t[0] + t[1]) + t[2] + 0.0  # + 0.0 folds -0.0 as Polynomial does
 
 
-def _trimmed_rows(x: np.ndarray, loops: int):
-    """The rows of stack ``x`` trimmed, one at a time; a single row serves every loop."""
-    if len(x) == 1:
-        return [trim_trailing_zeros(x[0])] * loops
-    # a row with a nonzero last entry is its own trim
-    return iter(x) if np.all(x[:, -1] != 0.0) else map(trim_trailing_zeros, x)
+def _product(a, b):
+    """Row products of the trimmed stacks ``a`` and ``b``, trimmed again.
 
-
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a*b`` trimmed as `Polynomial` trims it.
-
-    `np.convolve` sums in an order set by which operand is longer, so the
-    products round as `Polynomial.__mul__` rounds them only on trimmed
-    operands.
+    A trimmed stack is a pair (rows, lengths), row r holding the polynomial
+    ``rows[r, :lengths[r]]``; a stack of one row serves every row of the
+    other.  The rows of one pair of lengths take one `_convolve` call.  On
+    trimmed operands only an underflow leaves a product's last entry zero,
+    and that product is trimmed as `Polynomial.__mul__` trims it.
     """
-    p = np.convolve(a, b)
-    # on trimmed operands only an underflow leaves a zero last entry
-    return p if p[-1] != 0.0 else trim_trailing_zeros(p)
+    (x, lx), (y, ly) = a, b
+    rows = len(x) if len(y) == 1 else len(y)
+    out = np.zeros((rows, x.shape[1] + y.shape[1] - 1))
+    key = lx * (y.shape[1] + 1) + ly  # one key per pair of lengths
+    groups = set(key.tolist())
+    for g in groups:
+        at = slice(None) if len(groups) == 1 else np.flatnonzero(key == g)
+        m, k = divmod(g, y.shape[1] + 1)
+        out[at, : m + k - 1] = _convolve(
+            x[:, :m] if len(x) == 1 else x[at, :m],
+            y[:, :k] if len(y) == 1 else y[at, :k],
+        )
+    return out, trimmed_lengths(out)
+
+
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.convolve(a[r], b[r])`` for each row r, bit for bit.
+
+    One row of ``a`` or ``b`` serves every row of the other.  `np.convolve`
+    correlates the longer operand (``a`` on a tie) with the reversed
+    shorter one, the kernel of length k.  Its k - 1 partial-overlap outputs
+    at each end go through numpy's dot function, which is BLAS ``ddot``
+    (a fused multiply-add chain on short windows); `np.vecdot` calls that
+    same function, here on the same exact windows.  The full-overlap outputs are the plain
+    left-to-right sums ``0.0 + a[i] k[0] + a[i+1] k[1] + ...`` of numpy's
+    small-kernel loop up to SMALL_KERNEL, which array operations reproduce,
+    and dot function calls beyond it.
+    """
+    if len(a) == len(b) == 1:
+        return np.convolve(a[0], b[0])
+    if a.shape[1] < b.shape[1]:
+        a, b = b, a
+    m, k = a.shape[1], b.shape[1]
+    rev = b[:, ::-1].copy()  # numpy's dot function calls BLAS on positive strides only
+    p = np.empty((max(len(a), len(b)), m + k - 1))
+    for i in range(k - 1):
+        p[:, i] = np.vecdot(a[:, : i + 1], rev[:, k - 1 - i :])
+        p[:, m + i] = np.vecdot(a[:, m - k + 1 + i :], rev[:, : k - 1 - i])
+    full = p[:, k - 1 : m]
+    if k > SMALL_KERNEL:
+        full[...] = np.vecdot(sliding_window_view(a, k, axis=1), rev[:, None, :])
+    else:
+        full[...] = 0.0
+        for j in range(k):
+            full += a[:, j : j + m - k + 1] * rev[:, j : j + 1]
+    return p
 
 
 def closed_loop(G: RationalTF, C: RationalTF, P: RationalTF) -> RationalTF:

@@ -4,16 +4,20 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from pfclab.poly import Polynomial
+from pfclab.poly import Polynomial, trim_trailing_zeros, trimmed_lengths
 from pfclab.tf import (
     CompensatorPair,
     RationalTF,
+    _product,
     angular_closed_loop,
     closed_loop,
     loop_denominator,
+    loop_rows,
     noise_channels,
     pip_check,
+    tf_rows,
 )
 
 from helpers import constant, feedback, parallel, series, tf_equal_up_to_scale
@@ -114,6 +118,91 @@ def test_closed_loop_leading_cancellation_warns():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert loop_denominator(g, c, ZERO_TF).coeffs == H.den.coeffs
+
+
+# ---------------------------------------------------------------------------
+# batched loop products
+# ---------------------------------------------------------------------------
+
+
+def assert_products_are_convolutions(a, b):
+    """`_product` of stacks ``a`` and ``b`` holds, row for row, the bits of
+    `np.convolve` on the trimmed rows, trimmed again (NaN compares by place)."""
+    p, length = _product((a, trimmed_lengths(a)), (b, trimmed_lengths(b)))
+    assert len(p) == len(length) == max(len(a), len(b))
+    for r, (row, n) in enumerate(zip(p, length)):
+        x = trim_trailing_zeros(a[0 if len(a) == 1 else r])
+        y = trim_trailing_zeros(b[0 if len(b) == 1 else r])
+        want = trim_trailing_zeros(np.convolve(x, y))
+        got = row[:n]
+        assert n == len(want) and not row[n:].any()
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@pytest.mark.parametrize("rows", [(3, 3), (1, 3), (3, 1)])
+def test_products_of_every_length_round_as_np_convolve(rows):
+    # lengths 1-20 on each side cross numpy's switch from its small-kernel
+    # loop to its dot function at 12 and the 16-entry blocks of BLAS ddot
+    rng = np.random.default_rng(15)
+    for m in range(1, 21):
+        for k in range(1, 21):
+            a = rng.standard_normal((rows[0], m))
+            b = rng.standard_normal((rows[1], k)) * 10.0 ** rng.integers(-4, 5, (rows[1], k))
+            assert_products_are_convolutions(a, b)
+
+
+@st.composite
+def product_stacks(draw):
+    """Two stacks of random rows, either one possibly a single row, with
+    zero tails, -0.0, and entries whose products underflow or overflow."""
+    m, k = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    rows = draw(st.integers(2, 6))
+    single = draw(st.sampled_from([None, 0, 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, b = (
+        rng.standard_normal((1 if single == i else rows, width))
+        for i, width in enumerate((m, k))
+    )
+    for side, r, c, v in draw(st.lists(st.tuples(
+        st.booleans(), st.integers(0, 5), st.integers(0, 19),
+        st.sampled_from([0.0, -0.0, 1e-200, -1e-200, 1e200, -1e200]),
+    ), max_size=8)):
+        x = a if side else b
+        x[r % len(x), c % x.shape[1]] = v
+    for side, r, tail in draw(st.lists(st.tuples(
+        st.booleans(), st.integers(0, 5), st.integers(1, 20),
+    ), max_size=3)):
+        x = a if side else b
+        x[r % len(x), -tail:] = 0.0
+    return a, b
+
+
+@given(product_stacks())
+def test_products_at_the_edges_round_as_np_convolve(case):
+    a, b = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_products_are_convolutions(a, b)
+
+
+def test_loop_rows_of_column_major_stacks():
+    # BLAS ddot rounds otherwise on rows that are not contiguous
+    rng = np.random.default_rng(5)
+    stacks = [rng.standard_normal((7, w)) for w in (6, 13, 9, 12, 7, 16)]
+    G, C, P = zip(stacks[0::2], stacks[1::2])
+    want = loop_rows(G, C, P)
+    G, C, P = ([np.asfortranarray(x) for x in tf] for tf in (G, C, P))
+    assert loop_rows(G, C, P).tobytes() == want.tobytes()
+
+
+def test_loop_rows_refuses_stacks_of_different_row_counts():
+    C = np.ones((3, 2)), np.ones((3, 2))
+    P = np.ones((5, 2)), np.ones((5, 2))
+    with pytest.raises(ValueError, match="^stacks of 3 and 5 rows: "):
+        loop_rows(tf_rows(G), C, P)
+    # a stack of one row serves every loop
+    assert loop_rows(tf_rows(G), C, tf_rows(PAIR_A.P)).shape == (3, 9)
 
 
 # ---------------------------------------------------------------------------
