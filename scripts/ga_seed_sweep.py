@@ -2,8 +2,8 @@
 
 Runs the order-n search once per seed with the default configuration,
 independently verifies every claimed success, and writes a one-line-per-seed
-CSV summary.  The default ten-seed study at n=3 took 5.0 minutes (27-34 s
-per seed) on a 2-vCPU Xeon VM with Python 3.11 and numpy 2.4.
+CSV summary.  The default ten-seed study at n=3 took 54 s (4.3-6.5 s per
+seed) on a 2-vCPU Xeon VM with Python 3.11 and numpy 2.4.
 
     python3 scripts/ga_seed_sweep.py --seeds 10 --out sweep.csv
 """

@@ -296,11 +296,36 @@ def ga_search(
 ) -> SynthesisResult:
     """Minimize the objective over order-n coefficient vectors.
 
-    Deterministic for a fixed seed: one RNG stream consumed in a fixed
-    order (parents, crossover, mutation, in that order within each
-    generation).  history[g] is the best value seen up to and including
-    generation g; history[0] scores the initial population.  Failure to
-    reach F < 0 is a valid outcome, reported through `success`.
+    Deterministic for a fixed seed.  history[g] is the best value seen up
+    to and including generation g; history[0] scores the initial
+    population.  Failure to reach F < 0 is a valid outcome, reported
+    through `success`.
+
+    The initial population is ``rng.uniform(lo, hi, (population, 4n + 2))``
+    of ``rng = np.random.default_rng(seed)``.  A generation keeps the
+    ``elitism`` best rows (``np.argsort`` order) and fills the other slots
+    two children per mating, dropping a last odd child.  A mating draws, in
+    this order: two tournaments of ``rng.integers(0, population, 3)``, each
+    won by the first index of least fitness; one ``rng.random()`` that
+    decides crossover; when it is below ``crossover_rate``, two blends
+    ``rng.uniform(lo - d/2, hi + d/2)`` of the parents' elementwise
+    ``lo = min``, ``hi = max`` and ``d = hi - lo``, else copies of the
+    parents; then per child ``rng.random(4n + 2) < mutation_rate`` and one
+    log-normal factor ``exp(mutation_scale * rng.standard_normal(k))``
+    for each of its k chosen genes.
+
+    Each generation takes two passes that give exactly those children.
+    The draw pass (`_draw_matings`) walks the matings in that order and
+    reads every draw but the normals off the generator's raw 64-bit words
+    (`WordDraws`), as numpy's PCG64 `Generator` reads them: ``random()`` is
+    the 53-bit double ``(w >> 11) * 2**-53`` of one word; ``integers``
+    bounds 32-bit halves by Lemire's multiply-and-reject, the low half of
+    a word first, its high half buffered for the next bounded draw however
+    many 64-bit draws come between.  The normals come from
+    ``rng.standard_normal`` itself, in their place in the stream, because
+    numpy's ziggurat tables are not reachable from Python; they read whole
+    words and leave the buffered half alone.  The array pass
+    (`_next_population`) then builds all children at once.
     """
     if n < 1:
         raise ValueError("compensator order must be at least 1")
@@ -315,35 +340,9 @@ def ga_search(
     best_F = float(fit[best_i])
     history = [best_F]
 
+    draws = WordDraws(rng)
     for _ in range(ga_cfg.generations):
-        order = np.argsort(fit)
-        new = [pop[order[i]].copy() for i in range(ga_cfg.elitism)]
-        while len(new) < ga_cfg.population:
-            i1 = min(
-                rng.integers(0, ga_cfg.population, TOURNAMENT_SIZE),
-                key=lambda i: fit[i],
-            )
-            i2 = min(
-                rng.integers(0, ga_cfg.population, TOURNAMENT_SIZE),
-                key=lambda i: fit[i],
-            )
-            pa, pb = pop[i1].copy(), pop[i2].copy()
-            if rng.random() < ga_cfg.crossover_rate:
-                lo = np.minimum(pa, pb)
-                hi = np.maximum(pa, pb)
-                d = hi - lo
-                child1 = rng.uniform(lo - BLEND_ALPHA * d, hi + BLEND_ALPHA * d)
-                child2 = rng.uniform(lo - BLEND_ALPHA * d, hi + BLEND_ALPHA * d)
-            else:
-                child1, child2 = pa, pb
-            for child in (child1, child2):
-                mask = rng.random(dim) < ga_cfg.mutation_rate
-                child[mask] *= np.exp(
-                    ga_cfg.mutation_scale * rng.standard_normal(int(mask.sum()))
-                )
-                new.append(child)
-        # two children per mating can overshoot an odd slot count
-        pop = np.array(new[: ga_cfg.population])
+        pop = _next_population(pop, fit, _draw_matings(draws, ga_cfg, dim), ga_cfg)
         fit = objective_batch(pop, n, obj_cfg)
         i = int(fit.argmin())
         if fit[i] < best_F:
@@ -360,6 +359,129 @@ def ga_search(
         objective_config=obj_cfg,
         ga_config=ga_cfg,
     )
+
+
+class WordDraws:
+    """Draws of a PCG64 `numpy.random.Generator`, read off its raw 64-bit words.
+
+    ``words(k)`` are the generator's next k words, each w of which numpy's
+    own calls read as follows:
+
+    - ``random()`` is the 53-bit double ``(w >> 11) * 2**-53``, so it lies
+      below a rate r exactly when ``w < word_bound(r)``;
+    - ``integers(0, N)`` for N < 2**32 reads 32-bit halves, the low half of
+      a word first.  The high half waits in the bit generator for the next
+      32-bit draw, past any 64-bit draws in between.  A half h gives
+      ``m = h * N``, and the draw ``m >> 32`` unless ``m mod 2**32`` is
+      below ``(2**32 - N) mod N``, when numpy rejects h and takes the next
+      half (Lemire's bound);
+    - ``standard_normal`` reads whole words only, so it can be called on
+      the generator itself between these draws.
+
+    The waiting half is kept here, read from the generator's state when
+    this object is made; the generator's own bounded integer draws would
+    not see it afterwards.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        bit_gen = rng.bit_generator
+        state = bit_gen.state
+        if state["bit_generator"] != "PCG64":
+            raise ValueError(f"raw word draws need PCG64, not {state['bit_generator']}")
+        self.words = bit_gen.random_raw
+        self.standard_normal = rng.standard_normal
+        self._half = state["uinteger"] if state["has_uint32"] else None
+
+    def integers(self, N: int, k: int) -> list[int]:
+        """``Generator.integers(0, N, k)``, as a list, for 2 <= N < 2**32."""
+        if not 2 <= N < 2**32:
+            raise ValueError(f"bound {N} outside [2, 2**32): numpy draws it another way")
+        reject = (2**32 - N) % N
+        out: list[int] = []
+        halves = [] if self._half is None else [self._half]
+        while len(out) < k:
+            if not halves:
+                # the fewest words that can finish, so no word is read ahead
+                words = self.words((k - len(out) + 1) // 2).tolist()
+                halves = [h for w in reversed(words) for h in (w >> 32, w & 0xFFFFFFFF)]
+            m = halves.pop() * N
+            if m & 0xFFFFFFFF >= reject:
+                out.append(m >> 32)
+        self._half = halves[0] if halves else None
+        return out
+
+
+def word_bound(rate: float) -> int:
+    """The least word w with ``(w >> 11) * 2**-53 >= rate``, for rate in [0, 1].
+
+    The unit m * 2**-53 and rate * 2**53 are exact, so the unit lies below
+    the rate exactly when m < ceil(rate * 2**53).
+    """
+    return math.ceil(rate * 2.0**53) << 11
+
+
+def _draw_matings(draws: WordDraws, cfg: GaConfig, dim: int):
+    """Every draw of one generation's matings, in `ga_search`'s stream order.
+
+    There is one mating per two non-elite slots, rounded up.  Returns the
+    tournament entrants as a (matings, 2, TOURNAMENT_SIZE) array, the
+    indices of the matings that cross over, their blend units as a
+    (crossings, 2, dim) array, each child's mutation mask as a
+    (2 * matings, dim) array, and the normals of the masked genes in row
+    order.  Only these arrays outlive the generation.
+    """
+    cross_below = word_bound(cfg.crossover_rate)
+    mutate_below = word_bound(cfg.mutation_rate)
+    matings = (cfg.population - cfg.elitism + 1) // 2
+    picks: list[int] = []
+    crossed, blends, masks, normals = [], [], [], []
+    for i in range(matings):
+        picks += draws.integers(cfg.population, 2 * TOURNAMENT_SIZE)
+        if int(draws.words(1)[0]) < cross_below:
+            crossed.append(i)
+            blends.append(draws.words(2 * dim))
+        for _child in range(2):
+            mask = draws.words(dim) < mutate_below
+            masks.append(mask)
+            normals.append(draws.standard_normal(np.count_nonzero(mask)))
+    units = (np.array(blends, dtype=np.uint64).reshape(-1, 2, dim) >> 11) * 2.0**-53
+    return (
+        np.array(picks).reshape(matings, 2, TOURNAMENT_SIZE),
+        np.array(crossed, dtype=int),
+        units,
+        np.array(masks),
+        np.concatenate(normals),
+    )
+
+
+def _next_population(pop: np.ndarray, fit: np.ndarray, drawn, cfg: GaConfig) -> np.ndarray:
+    """The elites of ``pop`` and then the children of one generation's draws.
+
+    Each step is the per-mating one done for all matings at once, in the
+    same floating-point operations, so every child is bit for bit the one
+    the calls in `ga_search`'s docstring give.
+    """
+    picks, crossed, units, masks, normals = drawn
+    # min(picks, key=fit.__getitem__): a later entrant wins only on a
+    # strictly lower fitness, so the first least one wins, NaN or not
+    win = picks[..., 0]
+    for j in range(1, TOURNAMENT_SIZE):
+        win = np.where(fit[picks[..., j]] < fit[win], picks[..., j], win)
+    kids = pop[win]
+    pa, pb = kids[crossed, 0], kids[crossed, 1]
+    lo, hi = np.minimum(pa, pb), np.maximum(pa, pb)
+    d = hi - lo
+    low = lo - BLEND_ALPHA * d
+    span = (hi + BLEND_ALPHA * d) - low
+    if not np.all(np.isfinite(span)):
+        raise OverflowError("Range exceeds valid bounds")  # as rng.uniform raises it
+    # rng.uniform(low, high) draws low + (high - low) * unit
+    kids[crossed] = low[:, None] + span[:, None] * units
+    kids = kids.reshape(len(masks), -1)
+    r, c = np.nonzero(masks)
+    kids[r, c] *= np.exp(cfg.mutation_scale * normals)
+    elites = pop[np.argsort(fit)[: cfg.elitism]]
+    return np.concatenate([elites, kids[: cfg.population - cfg.elitism]])
 
 
 @dataclass(frozen=True)

@@ -218,41 +218,53 @@ def loop_rows(G, C, P) -> np.ndarray:
         )
     loops = counts.pop() if counts else 1
     ng, dg, nc, dc, npp, dp = ((x, trimmed_lengths(x)) for tf in tfs for x in tf)
-    t = np.zeros((3, loops, width))
+    den = np.zeros((loops, width))
     # an overflowed product may hold inf or NaN, and the sum inf - inf;
     # callers refuse such a row as non-finite, so nothing need warn
     with np.errstate(over="ignore", invalid="ignore"):
-        for term, (prod, _) in zip(t, (
-            _product(_product(dc, dg), dp),
-            _product(_product(nc, npp), dg),
-            _product(_product(nc, ng), dp),
-        )):
-            term[:, : prod.shape[1]] = prod
-        return (t[0] + t[1]) + t[2] + 0.0  # + 0.0 folds -0.0 as Polynomial does
+        # ((0.0 + t1) + t2) + t3: the 0.0 folds -0.0 as Polynomial does
+        for prod in (
+            _product(_product(dc, dg), dp, trim=False),
+            _product(_product(nc, npp), dg, trim=False),
+            _product(_product(nc, ng), dp, trim=False),
+        ):
+            den[:, : prod.shape[1]] += prod
+    return den
 
 
-def _product(a, b):
+def _product(a, b, trim: bool = True):
     """Row products of the trimmed stacks ``a`` and ``b``, trimmed again.
 
     A trimmed stack is a pair (rows, lengths), row r holding the polynomial
     ``rows[r, :lengths[r]]``; a stack of one row serves every row of the
-    other.  The rows of one pair of lengths take one `_convolve` call.  On
-    trimmed operands only an underflow leaves a product's last entry zero,
-    and that product is trimmed as `Polynomial.__mul__` trims it.
+    other.  The rows of one pair of lengths take one `_convolve` call, and
+    when all rows share one pair, that call's rows are the product stack.
+    A product of trimmed rows of lengths m and k has length m + k - 1: its
+    last entry is the product of the two leading coefficients, zero only on
+    an underflow or a zero operand, and only then is the product stack
+    trimmed as `Polynomial.__mul__` trims it.  With ``trim=False`` the
+    product rows come back alone, zero-padded and untrimmed.
     """
     (x, lx), (y, ly) = a, b
-    rows = len(x) if len(y) == 1 else len(y)
-    out = np.zeros((rows, x.shape[1] + y.shape[1] - 1))
     key = lx * (y.shape[1] + 1) + ly  # one key per pair of lengths
     groups = set(key.tolist())
-    for g in groups:
-        at = slice(None) if len(groups) == 1 else np.flatnonzero(key == g)
-        m, k = divmod(g, y.shape[1] + 1)
-        out[at, : m + k - 1] = _convolve(
-            x[:, :m] if len(x) == 1 else x[at, :m],
-            y[:, :k] if len(y) == 1 else y[at, :k],
-        )
-    return out, trimmed_lengths(out)
+    if len(groups) == 1:
+        m, k = divmod(*groups, y.shape[1] + 1)
+        out = _convolve(x[:, :m], y[:, :k])
+    else:
+        out = np.zeros((len(key), x.shape[1] + y.shape[1] - 1))
+        for g in groups:
+            at = np.flatnonzero(key == g)
+            m, k = divmod(g, y.shape[1] + 1)
+            out[at, : m + k - 1] = _convolve(
+                x[:, :m] if len(x) == 1 else x[at, :m],
+                y[:, :k] if len(y) == 1 else y[at, :k],
+            )
+    if not trim:
+        return out
+    lengths = lx + ly - 1
+    lead = out[:, -1] if len(groups) == 1 else out[np.arange(len(out)), lengths - 1]
+    return out, lengths if lead.all() else trimmed_lengths(out)
 
 
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -269,7 +281,7 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     and dot function calls beyond it.
     """
     if len(a) == len(b) == 1:
-        return np.convolve(a[0], b[0])
+        return np.convolve(a[0], b[0])[None]
     if a.shape[1] < b.shape[1]:
         a, b = b, a
     m, k = a.shape[1], b.shape[1]

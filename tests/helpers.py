@@ -9,6 +9,14 @@ from hypothesis import strategies as st
 from pfclab.analysis import GRID_POINTS, GRID_W_MAX, GRID_W_MIN
 from pfclab.plant import PendulumParams
 from pfclab.poly import Polynomial
+from pfclab.synth import (
+    BLEND_ALPHA,
+    TOURNAMENT_SIZE,
+    CoeffVector,
+    SynthesisResult,
+    decode,
+    objective_batch,
+)
 from pfclab.tf import RationalTF
 
 
@@ -232,3 +240,77 @@ def peak_gain(tf: RationalTF) -> tuple[float, float]:
     x = (a + b) / 2.0
     w = 10.0**x
     return w, 20.0 * math.log10(g(x))
+
+
+def reference_ga_search(obj_cfg, ga_cfg, n: int) -> SynthesisResult:
+    """`synth.ga_search` as one loop over the matings, each drawing from the generator itself.
+
+    The reference that `ga_search`'s draw and array passes must match bit
+    for bit: one RNG stream consumed in a fixed order (parents, crossover,
+    mutation, in that order within each mating; `reference_generation`).
+    """
+    if n < 1:
+        raise ValueError("compensator order must be at least 1")
+    dim = 4 * n + 2
+    rng = np.random.default_rng(ga_cfg.seed)
+    lo0, hi0 = ga_cfg.init_range
+
+    pop = rng.uniform(lo0, hi0, (ga_cfg.population, dim))
+    fit = objective_batch(pop, n, obj_cfg)
+    best_i = int(fit.argmin())
+    best_q = pop[best_i].copy()
+    best_F = float(fit[best_i])
+    history = [best_F]
+
+    for _ in range(ga_cfg.generations):
+        pop = reference_generation(rng, pop, fit, ga_cfg)
+        fit = objective_batch(pop, n, obj_cfg)
+        i = int(fit.argmin())
+        if fit[i] < best_F:
+            best_F = float(fit[i])
+            best_q = pop[i].copy()
+        history.append(best_F)
+
+    vec = CoeffVector(best_q, n)
+    return SynthesisResult(
+        best_q=vec,
+        best_F=best_F,
+        pair=decode(vec),
+        history=tuple(history),
+        objective_config=obj_cfg,
+        ga_config=ga_cfg,
+    )
+
+
+
+def reference_generation(rng, pop, fit, ga_cfg):
+    """The population after ``pop``, of fitness ``fit``, built one mating at a time."""
+    dim = pop.shape[1]
+    order = np.argsort(fit)
+    new = [pop[order[i]].copy() for i in range(ga_cfg.elitism)]
+    while len(new) < ga_cfg.population:
+        i1 = min(
+            rng.integers(0, ga_cfg.population, TOURNAMENT_SIZE),
+            key=lambda i: fit[i],
+        )
+        i2 = min(
+            rng.integers(0, ga_cfg.population, TOURNAMENT_SIZE),
+            key=lambda i: fit[i],
+        )
+        pa, pb = pop[i1].copy(), pop[i2].copy()
+        if rng.random() < ga_cfg.crossover_rate:
+            lo = np.minimum(pa, pb)
+            hi = np.maximum(pa, pb)
+            d = hi - lo
+            child1 = rng.uniform(lo - BLEND_ALPHA * d, hi + BLEND_ALPHA * d)
+            child2 = rng.uniform(lo - BLEND_ALPHA * d, hi + BLEND_ALPHA * d)
+        else:
+            child1, child2 = pa, pb
+        for child in (child1, child2):
+            mask = rng.random(dim) < ga_cfg.mutation_rate
+            child[mask] *= np.exp(
+                ga_cfg.mutation_scale * rng.standard_normal(int(mask.sum()))
+            )
+            new.append(child)
+    # two children per mating can overshoot an odd slot count
+    return np.array(new[: ga_cfg.population])
