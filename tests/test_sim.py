@@ -231,6 +231,16 @@ STEP_RESPONSES_SHA256 = {
     "a": "519b67130456ca9aeed73bed295cffee8eb6bbb3678784d1d18f3156893b28d9",
     "b": "a7317792172b9418d4b85365d473d22b0683641b7dbe734a9093f487e9d5d453",
 }
+# the same digest for the nonlinear run, and the exact divergence time of a
+# 3 rad start; recorded while each step still allocated its own arrays
+# (Python 3.11.7, numpy 2.4.6)
+NONLINEAR_LOOP_SHA256 = {
+    ("a", 0.0): "4dfeda888d61099c25ce5a5bef989982c4b6bc1674b0d1bbb3430e0cfdc4ee85",
+    ("a", 0.001): "5e9135e1a6a2e580015f50bf2953b3e662406cc4a7dec0298a0c9d45fd37b817",
+    ("b", 0.0): "f04fbeff6996fe7cbe0b3cfb756c84c9744c4b87ee90d36c23dde6485eef1bfe",
+    ("b", 0.001): "4834b856fd2d73dc9362ae9a8bea878d9c45a9ebc180d6d4e8c5caeba8da88a0",
+}
+DIVERGED_AT = {"a": 4.029100000000001, "b": 4.642}
 
 STATIC = RationalTF((2.0,), (1.0,))
 
@@ -259,6 +269,20 @@ class TestLoopModel:
             angle_step_response(F, G, pair.C, pair.P),
         )
         assert array_digest([s.y for s in steps]) == STEP_RESPONSES_SHA256[pair.label]
+
+    @pytest.mark.parametrize("pair", [PAIR_A, PAIR_B], ids=["a", "b"])
+    def test_nonlinear_outputs_pinned(self, pair):
+        for r in (0.0, 0.001):
+            out = nonlinear_closed_loop(
+                PendulumParams(), pair.C, pair.P, x_ref_step=r, theta0=0.01, t_end=5.0
+            )
+            digest = array_digest([s.t for s in out] + [s.y for s in out])
+            assert digest == NONLINEAR_LOOP_SHA256[pair.label, r], r
+        with pytest.raises(TrajectoryDiverged) as exc:
+            nonlinear_closed_loop(
+                PendulumParams(), pair.C, pair.P, x_ref_step=0.0, theta0=3.0, t_end=60.0
+            )
+        assert exc.value.t_reached == DIVERGED_AT[pair.label]
 
     @pytest.mark.parametrize("pair", [PAIR_A, PAIR_B], ids=["a", "b"])
     def test_reference_step_tracks_linear_twin(self, pair):
