@@ -131,8 +131,9 @@ def nonlinear_derivatives(
     L*(M + m*sin(theta)^2) is strictly positive, so no branch is needed.
     """
     _, theta, xdot, thetadot = st
-    sin_t = np.sin(theta)
-    cos_t = np.cos(theta)
+    # np.sin, not math.sin: a diverging run may pass inf, where math.sin raises
+    sin_t = float(np.sin(theta))
+    cos_t = float(np.cos(theta))
     det = p.L * (p.M + p.m * sin_t * sin_t)
     rhs1 = u + p.m * p.L * thetadot * thetadot * sin_t
     rhs2 = p.g * sin_t

@@ -8,6 +8,14 @@ plant, compensator and feedforward states.  The linear twin steps it through
 those maps; the nonlinear run evaluates it with the standard four-stage
 scheme after replacing the four plant rows with the full cart-pendulum
 dynamics.
+
+Every run steps its states in place: each step is one gemv (``phi.dot(z,
+out=next)``) or RK4 stage written into a ring of CHUNK + 1 state rows, with
+the same operations in the same order as the allocating expressions, so
+the outputs are the same bits.  Each full ring is flushed at once: the
+step response takes one dot product per row, and the closed loops record
+their rows after a divergence check per block that still reports the
+first step past DIVERGENCE_BOUND.
 """
 
 from __future__ import annotations
@@ -24,6 +32,8 @@ from .tf import NoiseChannelSet, RationalTF, angular_closed_loop
 FAST_POLE_PRODUCT_LIMIT = 0.1
 REFINED_DT = 1e-4
 DIVERGENCE_BOUND = 1e6
+# states stepped between two flushes; the ring holds one more row, the carry
+CHUNK = 512
 
 
 class TrajectoryDiverged(RuntimeError):
@@ -139,6 +149,36 @@ def _sim_grid(t_end: float, dt: float, fastest: float):
     return np.arange(int(round(t_end / dt)) + 1) * dt, dt
 
 
+def _iterate(step, z0: np.ndarray, size: int, flush) -> None:
+    """Step ``step(prev, next)`` from z0 through the states 1 .. size - 1.
+
+    The states are written in place into a ring of CHUNK + 1 rows whose row
+    0 carries the last state of the previous block; each time the ring
+    fills (and once at the end), ``flush(lo, block)`` receives the states
+    lo .. lo + len(block) - 1 as rows of ``block``, valid until it returns.
+    """
+    ring = np.empty((CHUNK + 1, z0.size))
+    ring[0] = z0
+    rows = list(ring)  # row views, indexed once
+    for lo in range(1, size, CHUNK):
+        m = min(CHUNK, size - lo)
+        for prev, nxt in zip(rows[:m], rows[1 : m + 1]):
+            step(prev, nxt)
+        flush(lo, ring[1 : m + 1])
+        ring[0] = ring[m]
+
+
+def _affine_step(phi: np.ndarray, drive: np.ndarray):
+    """The step next = phi @ z + drive, written into next (gemv, then one add)."""
+    dot, add = phi.dot, np.add
+
+    def step(z, nxt):
+        dot(z, out=nxt)
+        add(nxt, drive, nxt)
+
+    return step
+
+
 # ---------------------------------------------------------------------------
 # linear responses
 # ---------------------------------------------------------------------------
@@ -155,13 +195,14 @@ def step_response(tf: RationalTF, t_end: float = 60.0, dt: float = 1e-3) -> Time
     t, dt = _sim_grid(t_end, dt, _fastest_pole(rz.A))
     y = np.empty(t.size)
     phi, gamma = _rk4_maps(rz.A, rz.B, dt)
-    u = gamma[:, 0]
-    x = np.zeros(rz.order)
     c_row = rz.C[0]
     y[0] = rz.D
-    for k in range(1, t.size):
-        x = phi @ x + u
-        y[k] = c_row @ x + rz.D
+
+    def flush(lo, block):
+        # one ddot per row, as c_row @ x
+        y[lo : lo + len(block)] = np.vecdot(block, c_row) + rz.D
+
+    _iterate(_affine_step(phi, gamma[:, 0]), np.zeros(rz.order), t.size, flush)
     return TimeSeries(t=t, y=y)
 
 
@@ -221,16 +262,26 @@ def _loop_model(params: PendulumParams, C: RationalTF, P: RationalTF):
 
 
 def _run_loop(step, n: int, theta0: float, t: np.ndarray):
-    """(cart, angle) series on t of ``step`` iterated from rest tilted by theta0."""
-    z = np.zeros(n)
-    z[1] = theta0
+    """(cart, angle) series on t of ``step`` iterated from rest tilted by theta0.
+
+    The divergence test runs once per block and reports the first state
+    past DIVERGENCE_BOUND (NaN fails the test too).  The steps after it in
+    the same block may overflow; their values are never read, so the
+    floating-point warnings of this loop alone are silenced.
+    """
+    z0 = np.zeros(n)
+    z0[1] = theta0
     rec = np.empty((2, t.size))
-    rec[:, 0] = z[:2]
-    for k in range(1, t.size):
-        z = step(z)
-        if not np.max(np.abs(z)) <= DIVERGENCE_BOUND:  # NaN fails the test too
-            raise TrajectoryDiverged(t_reached=float(t[k]))
-        rec[:, k] = z[:2]
+    rec[:, 0] = z0[:2]
+
+    def flush(lo, block):
+        bad = ~(np.abs(block).max(axis=1) <= DIVERGENCE_BOUND)
+        if bad.any():
+            raise TrajectoryDiverged(t_reached=float(t[lo + bad.argmax()]))
+        rec[:, lo : lo + len(block)] = block[:, :2].T
+
+    with np.errstate(all="ignore"):
+        _iterate(step, z0, t.size, flush)
     return TimeSeries(t=t, y=rec[0]), TimeSeries(t=t, y=rec[1])
 
 
@@ -254,21 +305,32 @@ def nonlinear_closed_loop(
     t, dt = _sim_grid(t_end, dt, fastest)
     drive = B[:, 0] * x_ref_step
     v_ref = alpha * x_ref_step
+    n = A.shape[0]
+    # each scalar factor as a full row: array-by-array calls skip the scalar
+    # conversion, and each product rounds as the scalar one does
+    half, full, two, sixth = (np.full(n, c) for c in (0.5 * dt, dt, 2.0, dt / 6.0))
+    k1, k2, k3, k4, w = np.empty((5, n))
+    add, mul, dot, v_dot = np.add, np.multiply, A.dot, row_v.dot
 
-    def deriv(z):
+    def deriv(z, out):
         # the linear loop, with the four plant rows replaced by the full model
-        out = A @ z + drive
-        out[:4] = nonlinear_derivatives(z[:4], row_v @ z + v_ref, params)
-        return out
+        dot(z, out=out)
+        add(out, drive, out)
+        out[:4] = nonlinear_derivatives(z[:4].tolist(), float(v_dot(z)) + v_ref, params)
 
-    def step(z):
-        k1 = deriv(z)
-        k2 = deriv(z + 0.5 * dt * k1)
-        k3 = deriv(z + 0.5 * dt * k2)
-        k4 = deriv(z + dt * k3)
-        return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    def step(z, nxt):
+        # z + dt/6 * (k1 + 2 k2 + 2 k3 + k4) and its stages, each operation
+        # in the order of the allocating expressions
+        deriv(z, k1)
+        deriv(add(z, mul(half, k1, w), w), k2)
+        deriv(add(z, mul(half, k2, w), w), k3)
+        deriv(add(z, mul(full, k3, w), w), k4)
+        add(k1, mul(two, k2, w), w)
+        add(w, mul(two, k3, k1), w)
+        add(w, k4, w)
+        add(z, mul(sixth, w, w), nxt)
 
-    return _run_loop(step, A.shape[0], theta0, t)
+    return _run_loop(step, n, theta0, t)
 
 
 def linear_closed_loop(
@@ -288,8 +350,7 @@ def linear_closed_loop(
     A, B, _, _, fastest = _loop_model(params, C, P)
     t, dt = _sim_grid(t_end, dt, max(_fastest_pole(A), fastest))
     phi, gamma = _rk4_maps(A, B, dt)
-    drive = gamma[:, 0] * x_ref_step
-    return _run_loop(lambda z: phi @ z + drive, A.shape[0], theta0, t)
+    return _run_loop(_affine_step(phi, gamma[:, 0] * x_ref_step), A.shape[0], theta0, t)
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,8 @@ class GaConfig:
             raise ValueError("init_range ends must be finite")
         if not lo < hi:
             raise ValueError("init_range must be a nonempty interval")
+        if not math.isfinite((hi - lo) * (1.0 + 2.0 * BLEND_ALPHA)):
+            raise ValueError("init_range is too wide: the first blend span overflows")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 

@@ -7,8 +7,18 @@ import numpy as np
 from hypothesis import strategies as st
 
 from pfclab.analysis import GRID_POINTS, GRID_W_MAX, GRID_W_MIN
-from pfclab.plant import PendulumParams
+from pfclab.plant import PendulumParams, nonlinear_derivatives
 from pfclab.poly import Polynomial
+from pfclab.sim import (
+    DIVERGENCE_BOUND,
+    TimeSeries,
+    TrajectoryDiverged,
+    _fastest_pole,
+    _loop_model,
+    _rk4_maps,
+    _sim_grid,
+    realize,
+)
 from pfclab.synth import (
     BLEND_ALPHA,
     TOURNAMENT_SIZE,
@@ -314,3 +324,73 @@ def reference_generation(rng, pop, fit, ga_cfg):
             new.append(child)
     # two children per mating can overshoot an odd slot count
     return np.array(new[: ga_cfg.population])
+
+
+# ---------------------------------------------------------------------------
+# reference time-domain loops: one allocating step per grid point
+# ---------------------------------------------------------------------------
+
+
+def reference_step_response(tf: RationalTF, t_end: float = 60.0, dt: float = 1e-3) -> TimeSeries:
+    """`sim.step_response` with each state a fresh ``phi @ x + u``."""
+    rz = realize(tf)
+    t, dt = _sim_grid(t_end, dt, _fastest_pole(rz.A))
+    y = np.empty(t.size)
+    phi, gamma = _rk4_maps(rz.A, rz.B, dt)
+    u = gamma[:, 0]
+    x = np.zeros(rz.order)
+    c_row = rz.C[0]
+    y[0] = rz.D
+    for k in range(1, t.size):
+        x = phi @ x + u
+        y[k] = c_row @ x + rz.D
+    return TimeSeries(t=t, y=y)
+
+
+def _reference_run_loop(step, n: int, theta0: float, t: np.ndarray):
+    """`sim._run_loop` with the divergence test after every step."""
+    z = np.zeros(n)
+    z[1] = theta0
+    rec = np.empty((2, t.size))
+    rec[:, 0] = z[:2]
+    for k in range(1, t.size):
+        z = step(z)
+        if not np.max(np.abs(z)) <= DIVERGENCE_BOUND:  # NaN fails the test too
+            raise TrajectoryDiverged(t_reached=float(t[k]))
+        rec[:, k] = z[:2]
+    return TimeSeries(t=t, y=rec[0]), TimeSeries(t=t, y=rec[1])
+
+
+def reference_nonlinear_closed_loop(
+    params, C, P, x_ref_step, theta0, t_end=60.0, dt=1e-3
+) -> tuple[TimeSeries, TimeSeries]:
+    """`sim.nonlinear_closed_loop` with every RK4 stage and sum a fresh array."""
+    A, B, row_v, alpha, fastest = _loop_model(params, C, P)
+    t, dt = _sim_grid(t_end, dt, fastest)
+    drive = B[:, 0] * x_ref_step
+    v_ref = alpha * x_ref_step
+
+    def deriv(z):
+        out = A @ z + drive
+        out[:4] = nonlinear_derivatives(z[:4], row_v @ z + v_ref, params)
+        return out
+
+    def step(z):
+        k1 = deriv(z)
+        k2 = deriv(z + 0.5 * dt * k1)
+        k3 = deriv(z + 0.5 * dt * k2)
+        k4 = deriv(z + dt * k3)
+        return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    return _reference_run_loop(step, A.shape[0], theta0, t)
+
+
+def reference_linear_closed_loop(
+    params, C, P, x_ref_step, theta0, t_end=60.0, dt=1e-3
+) -> tuple[TimeSeries, TimeSeries]:
+    """`sim.linear_closed_loop` with each state a fresh ``phi @ z + drive``."""
+    A, B, _, _, fastest = _loop_model(params, C, P)
+    t, dt = _sim_grid(t_end, dt, max(_fastest_pole(A), fastest))
+    phi, gamma = _rk4_maps(A, B, dt)
+    drive = gamma[:, 0] * x_ref_step
+    return _reference_run_loop(lambda z: phi @ z + drive, A.shape[0], theta0, t)

@@ -200,6 +200,15 @@ class TestSynthesize:
             assert err.startswith("error: " + field)
         assert not any(tmp_path.iterdir())
 
+    def test_overflowing_init_range(self, capsys, tmp_path):
+        for lo, hi in ((" -1e308", "1e308"), (" -8e307", "8e307")):
+            rc, _, err = run(
+                capsys, "synthesize", "--n", "1", "--init-range", lo, hi, "--out", str(tmp_path)
+            )
+            assert rc == 2
+            assert err.startswith("error: init_range is too wide")
+        assert not any(tmp_path.iterdir())
+
 
 # ---------------------------------------------------------------------------
 # response emitters

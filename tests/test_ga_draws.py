@@ -134,7 +134,9 @@ def test_ga_search_matches_the_per_mating_loop_at_the_defaults():
 @pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
 def test_blend_of_an_overflowing_range_raises_as_uniform_does():
     obj = ObjectiveConfig(plant=EASY)
-    cfg = GaConfig(population=6, generations=2, crossover_rate=1.0, init_range=(-8e307, 8e307))
+    # GaConfig refuses a range whose first blend span overflows, so the
+    # spans grow past the largest double over the generations instead
+    cfg = GaConfig(population=6, generations=10, crossover_rate=1.0, init_range=(-4e307, 4e307))
     for search in (ga_search, reference_ga_search):
         with pytest.raises(OverflowError, match="Range exceeds valid bounds"):
             search(obj, cfg, 1)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -6,6 +8,8 @@ from pfclab.designs import PAIR_A, PAIR_B
 from pfclab.plant import PendulumParams, angle_plant, position_plant
 from pfclab.poly import Polynomial
 from pfclab.sim import (
+    CHUNK,
+    DIVERGENCE_BOUND,
     NoiseSpec,
     TimeSeries,
     TrajectoryDiverged,
@@ -15,10 +19,22 @@ from pfclab.sim import (
     nonlinear_closed_loop,
     realize,
     step_response,
+    _loop_model,
+    _rk4_maps,
+    _sim_grid,
 )
-from pfclab.tf import NoiseChannelSet, RationalTF, closed_loop, noise_channels
+from pfclab.tf import NoiseChannelSet, RationalTF, angular_closed_loop, closed_loop, noise_channels
 
-from helpers import array_digest, expand_conjugates, rightmost_real_part, separated, stable_root
+from helpers import (
+    array_digest,
+    expand_conjugates,
+    reference_linear_closed_loop,
+    reference_nonlinear_closed_loop,
+    reference_step_response,
+    rightmost_real_part,
+    separated,
+    stable_root,
+)
 
 G = position_plant()
 F = angle_plant()
@@ -304,6 +320,119 @@ class TestLoopModel:
         for simulate in (nonlinear_closed_loop, linear_closed_loop):
             with pytest.raises(ValueError, match="singular algebraic loop"):
                 simulate(PendulumParams(), STATIC, -0.25 * STATIC, 0.0, 1e-4, t_end=1.0)
+
+
+def _series(out):
+    return out if isinstance(out, tuple) else (out,)
+
+
+def _series_bytes(out):
+    return [(s.t.tobytes(), s.y.tobytes()) for s in _series(out)]
+
+
+def _grid(points, dt=1e-3):
+    """(t_end, dt) of a run on ``points`` grid points, dt kept as given."""
+    return (points - 0.75) * dt, dt
+
+
+def _warning_kinds(run):
+    """The floating-point events ("overflow", "invalid", ...) ``run`` warns of."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run()
+    return {(w.category, str(w.message).split(" encountered")[0]) for w in caught}
+
+
+UNSTABLE = (STATIC, 0.25 * STATIC)  # static feedback cannot hold the pendulum up
+
+
+def _unstable_peaks(points, dt):
+    """Running maximum of |z_k| for the linear run of UNSTABLE from theta0 = 1."""
+    A, B, _, _, _ = _loop_model(PendulumParams(), *UNSTABLE)
+    phi, _ = _rk4_maps(A, B, dt)
+    z = np.zeros(A.shape[0])
+    z[1] = 1.0
+    peaks = [1.0]
+    for _ in range(points - 1):
+        z = phi @ z
+        peaks.append(max(peaks[-1], float(np.max(np.abs(z)))))
+    return np.array(peaks)
+
+
+class TestInPlaceStepping:
+    """The ring-buffered loops against the allocating per-step references."""
+
+    @pytest.mark.parametrize("points", [2, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    def test_chunk_edges_match_reference(self, points):
+        t_end, dt = _grid(points)
+        p = PendulumParams()
+        cases = [
+            (step_response, reference_step_response, (H_B,)),
+            (step_response, reference_step_response, (angular_closed_loop(F, G, PAIR_B.C, PAIR_B.P),)),
+            (step_response, reference_step_response, (RationalTF((1.0, 1.0), (2.0, 1.0)),)),
+            (step_response, reference_step_response, (STATIC,)),
+        ]
+        for r, theta0 in ((0.0, 0.01), (0.001, 0.0), (0.001, -0.02)):
+            args = (p, PAIR_B.C, PAIR_B.P, r, theta0)
+            cases.append((nonlinear_closed_loop, reference_nonlinear_closed_loop, args))
+            cases.append((linear_closed_loop, reference_linear_closed_loop, args))
+        for new, ref, args in cases:
+            got = new(*args, t_end=t_end, dt=dt)
+            assert all(s.t.size == points for s in _series(got))
+            assert _series_bytes(got) == _series_bytes(ref(*args, t_end=t_end, dt=dt))
+
+    def test_static_step_response(self):
+        # an order-0 system steps an empty state: y is D everywhere
+        for points in (2, CHUNK + 1):
+            t_end, dt = _grid(points, 0.1)
+            for tf in (STATIC, RationalTF((-0.0,), (1.0,)), RationalTF((3.0,), (-2.0,))):
+                got = step_response(tf, t_end=t_end, dt=dt)
+                assert got.t.size == points
+                assert _series_bytes(got) == _series_bytes(reference_step_response(tf, t_end=t_end, dt=dt))
+                assert np.all(got.y == realize(tf).D)
+
+    @pytest.mark.parametrize(
+        "k",
+        [1, CHUNK // 2, CHUNK, CHUNK + 1, 2 * CHUNK + 50, 2 * CHUNK + 100],
+        ids=["first-row", "mid-chunk", "chunk-end", "next-chunk-first-row", "mid-partial", "last-row"],
+    )
+    def test_divergence_reports_the_first_bad_step(self, k):
+        points = 2 * CHUNK + 101  # the last block holds 100 states
+        t_end, dt = _grid(points)
+        peaks = _unstable_peaks(points, dt)
+        assert peaks[k] > peaks[k - 1]
+        # the run is linear in theta0: this start crosses the bound at step k
+        theta0 = DIVERGENCE_BOUND / np.sqrt(peaks[k - 1] * peaks[k])
+        args = (PendulumParams(), *UNSTABLE, 0.0, theta0)
+        t = _sim_grid(t_end, dt, 0.0)[0]
+        for run in (linear_closed_loop, reference_linear_closed_loop):
+            with pytest.raises(TrajectoryDiverged) as exc:
+                run(*args, t_end=t_end, dt=dt)
+            assert exc.value.t_reached == float(t[k])
+
+    def test_divergence_overshoot_stays_silent(self):
+        # the steps run past divergence in its block reach inf and NaN;
+        # only the exception reaches the caller, not their warnings
+        for pair in (PAIR_A, PAIR_B):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(TrajectoryDiverged) as exc:
+                    nonlinear_closed_loop(
+                        PendulumParams(), pair.C, pair.P, x_ref_step=0.0, theta0=3.0, t_end=60.0
+                    )
+            assert exc.value.t_reached == DIVERGED_AT[pair.label]
+
+    def test_step_response_warns_as_the_reference(self):
+        # an unstable response overflows; its warnings are not silenced
+        for den in ((-1.0, 1.0), (-2.0, 1.0, 1.0), (1.0, -1.0, 1.0)):
+            tf = RationalTF((1.0,), den)
+            args = dict(t_end=2000.0, dt=1e-2)
+            kinds = _warning_kinds(lambda: step_response(tf, **args))
+            assert kinds
+            assert kinds == _warning_kinds(lambda: reference_step_response(tf, **args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            step_response(H_B, t_end=5.0)
 
 
 CHANNELS_B = noise_channels(G, PAIR_B.C, PAIR_B.P)

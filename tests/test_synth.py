@@ -536,6 +536,13 @@ class TestGaSearch:
             with pytest.raises(ValueError, match="init_range"):
                 GaConfig(init_range=interval)
 
+    def test_init_range_whose_first_blend_span_overflows_rejected(self):
+        # the width overflows, or the blend's (1 + 2 * BLEND_ALPHA) stretch of it
+        for interval in ((-1e308, 1e308), (-8e307, 8e307), (0.0, 1e308)):
+            with pytest.raises(ValueError, match="init_range is too wide"):
+                GaConfig(init_range=interval)
+        assert GaConfig(init_range=(-4e307, 4e307)).init_range == (-4e307, 4e307)
+
     def test_result_serialization(self, tmp_path):
         res = ga_search(
             ObjectiveConfig(plant=EASY),
