@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, files, determinism."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pfclab.cli import main
+from pfclab.cli import build_parser, main
 from pfclab.designs import PAIR_B
 
 
@@ -469,10 +470,77 @@ class TestOutputDir:
 
 
 # ---------------------------------------------------------------------------
-# pinned artifacts of scripts/reproduce_all.py
+# option table
 # ---------------------------------------------------------------------------
 
 REPO = Path(__file__).resolve().parents[1]
+
+COMMON = {"--out": None, "--mass": 0.3}
+PLANT = {"--plant": "pendulum-position"}
+PAIR = {"--pair": "a", "--pair-file": None}
+SEED = {"--seed": 0}
+MC = {"--trials": 1000, "--sigma": 0.02}
+
+# every subcommand's option strings with their defaults
+OPTIONS = {
+    "verify": {**PLANT, **PAIR, **COMMON},
+    "synthesize": {
+        "--n": None, **SEED, "--population": 200, "--generations": 500,
+        "--crossover-rate": 0.9, "--mutation-rate": 0.1, "--mutation-scale": 0.2,
+        "--elitism": 2, "--init-range": (-12.0, 12.0), **PLANT, **COMMON,
+    },
+    "step": {"--t-end": 60.0, "--dt": 1e-3, **PLANT, **PAIR, **COMMON},
+    "angle": {"--t-end": 60.0, "--dt": 1e-3, **PAIR, **COMMON},
+    "bode": {
+        "--channel": "h", "--w-min": 1e-2, "--w-max": 1e2, "--points": 1000,
+        **PLANT, **PAIR, **COMMON,
+    },
+    "noise": {
+        "--sines": 4000, "--amp": 0.01, "--freq-lo": 0.5, "--freq-hi": 1.5,
+        "--t-end": 200.0, "--dt": 0.05, **SEED, **PLANT, **PAIR, **COMMON,
+    },
+    "robustness": {**MC, **SEED, **PAIR, **COMMON},
+    "fragility": {**MC, **SEED, **PLANT, **PAIR, **COMMON},
+    "modern": COMMON,
+}
+
+
+def parser_options():
+    sub = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return {
+        name: {
+            flag: action.default
+            for action in p._actions
+            for flag in action.option_strings
+            if flag not in ("-h", "--help")
+        }
+        for name, p in sub.choices.items()
+    }
+
+
+def test_option_table():
+    assert parser_options() == OPTIONS
+
+
+def test_readme_command_table_matches_options():
+    rows = [
+        [cell.strip() for cell in line.strip("|").split("|")]
+        for line in (REPO / "README.md").read_text().splitlines()
+        if line.startswith("| `")
+    ]
+    assert [row[0].strip("`") for row in rows] == list(OPTIONS)
+    for name, plant, pair, seed, _ in rows:
+        opts = OPTIONS[name.strip("`")]
+        assert (plant == "yes") == ("--plant" in opts), name
+        assert (pair == "yes") == ("--pair" in opts and "--pair-file" in opts), name
+        assert (seed == "yes") == ("--seed" in opts), name
+
+
+# ---------------------------------------------------------------------------
+# pinned artifacts of scripts/reproduce_all.py
+# ---------------------------------------------------------------------------
 
 REPRODUCE_FILES = [
     "angle_b/angle.csv",
