@@ -4,15 +4,13 @@ Every pipeline in the library is reachable from here: verification of the
 built-in pairs, fresh synthesis runs, time/frequency response emitters, the
 Monte Carlo studies, and the observer-based design walkthrough.  All but
 verify and modern, which only print, write plot-ready CSV/JSON plus a small
-metadata file; nothing renders images.  Every command takes --out and
---mass (verify and modern accept --out and write nothing, so one command
-line can pass it to every command); --plant is taken by all but angle,
-robustness and modern, --pair and --pair-file by all but synthesize and
-modern, --seed by synthesize, noise, robustness and fragility.
+metadata file; nothing renders images.  COMMANDS, at the end of this
+module, lists the flag groups each command takes.
 
 Exit codes: 0 all checks passed or data written, 1 an analysis reached a
 negative verdict (verification failed, no stabilizing pair found, unstable
-loop), 2 bad usage or unreadable input.
+loop), 2 bad usage, unreadable input, unwritable output, or a search whose
+init_range overflows.
 """
 
 from __future__ import annotations
@@ -21,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -56,7 +55,7 @@ DEMO_ESTIMATOR_POLES = (-1.0, -2.0, -3 + 1j, -3 - 1j)
 
 
 class UsageError(Exception):
-    """Bad flags or unreadable input files; maps to exit code 2."""
+    """Bad flags, unreadable input files or unwritable output; maps to exit code 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +92,7 @@ def _load_plant(args) -> RationalTF:
 def _load_pair(args) -> CompensatorPair | None:
     if args.pair_file is not None:
         return CompensatorPair.from_json_dict(_read_json(args.pair_file))
-    if args.pair is None or args.pair == "none":
+    if args.pair == "none":
         return None
     try:
         return get_pair(args.pair)
@@ -104,47 +103,43 @@ def _load_pair(args) -> CompensatorPair | None:
         ) from None
 
 
-def _require_pair(args) -> CompensatorPair:
-    pair = _load_pair(args)
-    if pair is None:
-        raise UsageError(f"{args.command} needs --pair or --pair-file")
-    return pair
-
-
-def _emit(args, echo: dict, files: dict, *lines: str, code: int = 0) -> int:
-    """Write files (name -> writer of that path) and the metadata recording
-    echo into the output directory, print lines, report the first file."""
+def _emit(args, echo: tuple, files: dict, *lines: str, code: int = 0, **known) -> int:
+    """Write files (name -> writer of that path) and the metadata into the
+    output directory, print lines, report the first file.  The metadata's
+    config records the values named in echo, taken from known, else from args."""
     out = Path(args.out if args.out is not None else os.environ.get(OUT_ENV, "."))
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise UsageError(f"cannot create output directory: {e}") from None
-    for name, write in files.items():
-        write(out / name)
-    first = next(iter(files))
+    values = {**vars(args), **known}
     meta = {
         "command": args.command,
         "version": __version__,
         "seed": getattr(args, "seed", 0),
-        "config": echo,
+        "config": {name: values[name] for name in echo},
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    (out / f"{Path(first).stem}_metadata.json").write_text(json.dumps(meta, indent=2) + "\n")
+    first = next(iter(files))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, write in files.items():
+            write(out / name)
+        (out / f"{Path(first).stem}_metadata.json").write_text(json.dumps(meta, indent=2) + "\n")
+    except OSError as e:
+        raise UsageError(f"cannot write output: {e}") from None
     print(*lines, f"wrote {out / first}", sep="\n")
     return code
 
 
-def _emit_mc(args, rep, echo: dict) -> int:
+def _emit_mc(args, echo: tuple, rep, pair: CompensatorPair) -> int:
     """_emit for a Monte Carlo report: JSON, pole cloud, verdict; echo gains trials, sigma."""
     return _emit(
         args,
-        {**echo, "trials": args.trials, "sigma": args.sigma},
+        (*echo, "trials", "sigma"),
         {
             f"{args.command}.json": lambda p: p.write_text(rep.to_json() + "\n"),
             f"{args.command}_cloud.csv": rep.cloud_to_csv,
         },
         f"{rep.unstable_count} of {rep.trials} trials unstable "
         f"(sigma={rep.sigma:g}, seed={rep.seed})",
+        pair=pair.label,
     )
 
 
@@ -183,21 +178,13 @@ def _matrix_str(m: np.ndarray) -> str:
     return np.array2string(m, precision=6, suppress_small=True)
 
 
-def _unstable_loop(G: RationalTF, pair: CompensatorPair) -> bool:
-    """True, after reporting it on stderr, when the loop of G under pair is unstable."""
-    if loop_denominator(G, pair.C, pair.P).is_hurwitz():
-        return False
-    print("error: the closed loop is unstable", file=sys.stderr)
-    return True
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify(args) -> int:
-    G = _load_plant(args)
+def cmd_verify(args, G: RationalTF, pair: CompensatorPair | None) -> int:
+    """audit a compensator pair against a plant; writes no files"""
     verdict = pip_check(G)
     word = (
         "strongly stabilizable"
@@ -208,7 +195,6 @@ def cmd_verify(args) -> int:
     for z, count in verdict.checks:
         where = "infinity" if z == float("inf") else f"{z:g}"
         print(f"  real RHP zero at {where}: {count} real RHP pole(s) before the next zero")
-    pair = _load_pair(args)
     if pair is None:
         return 0
     rep = verify_pair(G, pair)
@@ -230,19 +216,15 @@ def cmd_verify(args) -> int:
     return 0 if rep.passed else 1
 
 
-def cmd_synthesize(args) -> int:
-    plant = _load_plant(args)
-    ga = GaConfig(
-        population=args.population,
-        generations=args.generations,
-        crossover_rate=args.crossover_rate,
-        mutation_rate=args.mutation_rate,
-        mutation_scale=args.mutation_scale,
-        elitism=args.elitism,
-        init_range=tuple(args.init_range),
-        seed=args.seed,
-    )
-    res = ga_search(ObjectiveConfig(plant=plant), ga, args.n)
+def cmd_synthesize(args, plant: RationalTF, _pair) -> int:
+    """search for a stabilizing stable pair"""
+    knobs = {f.name: getattr(args, f.name) for f in fields(GaConfig)}
+    ga = GaConfig(**knobs | {"init_range": tuple(args.init_range)})
+    try:
+        res = ga_search(ObjectiveConfig(plant=plant), ga, args.n)
+    except OverflowError as e:
+        # a later blend span passed the largest double
+        raise UsageError(f"init_range is too wide: the search overflowed ({e})") from None
     status = "success" if res.success else "no stabilizing pair found"
     lines = [f"n={args.n} seed={args.seed}: best F = {res.best_F:.6f} ({status})"]
     if res.success:
@@ -250,125 +232,96 @@ def cmd_synthesize(args) -> int:
         lines.append(f"independent verification: {'PASS' if audited.passed else 'FAIL'}")
     return _emit(
         args,
-        {"n": args.n, "ga": ga.to_json_dict()},
+        ("n", "ga"),
         {
             "synthesis.json": lambda p: p.write_text(res.to_json() + "\n"),
             "synthesis_history.csv": res.history_to_csv,
         },
         *lines,
         code=0 if res.success else 1,
+        ga=ga.to_json_dict(),
     )
 
 
-def cmd_step(args) -> int:
-    pair = _require_pair(args)
-    G = _load_plant(args)
-    if _unstable_loop(G, pair):
-        return 1
+def cmd_step(args, G: RationalTF, pair: CompensatorPair) -> int:
+    """closed-loop unit step response to CSV"""
     H = closed_loop(G, pair.C, pair.P)
     ts = step_response(H, t_end=args.t_end, dt=args.dt)
-    echo = {"plant": args.plant, "pair": pair.label, "t_end": args.t_end, "dt": args.dt}
     line = f"final value {ts.y[-1]:.6f} (DC gain {H(0.0):.6f})"
-    return _emit(args, echo, {"step.csv": ts.to_csv}, line)
+    echo = ("plant", "pair", "t_end", "dt")
+    return _emit(args, echo, {"step.csv": ts.to_csv}, line, pair=pair.label)
 
 
-def cmd_angle(args) -> int:
-    pair = _require_pair(args)
+def cmd_angle(args, G: RationalTF, pair: CompensatorPair) -> int:
+    """pendulum angle response to CSV"""
     F = angle_plant(args.mass)
-    G = position_plant(M=args.mass)
-    if _unstable_loop(G, pair):
-        return 1
     ts = angle_step_response(F, G, pair.C, pair.P, t_end=args.t_end, dt=args.dt)
     tail = ts.y[ts.t > 0.8 * ts.t[-1]]
-    echo = {"pair": pair.label, "mass": args.mass, "t_end": args.t_end, "dt": args.dt}
     line = f"peak |angle| {np.abs(ts.y).max():.6g}, tail max {np.abs(tail).max():.3e}"
-    return _emit(args, echo, {"angle.csv": ts.to_csv}, line)
+    echo = ("pair", "mass", "t_end", "dt")
+    return _emit(args, echo, {"angle.csv": ts.to_csv}, line, pair=pair.label)
 
 
-def cmd_bode(args) -> int:
-    G = _load_plant(args)
-    source = args.channel
-    if source == "plant":
+def cmd_bode(args, G: RationalTF, pair: CompensatorPair | None) -> int:
+    """magnitude/phase samples to CSV"""
+    if args.channel == "plant":
         tf = G
+    elif args.channel == "h":
+        tf = closed_loop(G, pair.C, pair.P)
     else:
-        pair = _require_pair(args)
-        if _unstable_loop(G, pair):
-            return 1
-        if source == "h":
-            tf = closed_loop(G, pair.C, pair.P)
-        else:
-            tf = noise_channels(G, pair.C, pair.P).channels[int(source[1:]) - 1]
+        tf = noise_channels(G, pair.C, pair.P).channels[int(args.channel[1:]) - 1]
     curve = bode_curve(tf, args.w_min, args.w_max, args.points)
     k = int(np.argmax(curve.mag_db))
     lines = [f"grid peak {curve.mag_db[k]:.4f} dB at omega = {curve.omega[k]:.6g}"]
     if curve.near_axis_pole:
         lines.append("note: pole near the evaluated imaginary axis, magnitudes spike")
-    return _emit(
-        args,
-        {
-            "plant": args.plant,
-            "channel": source,
-            "w_min": args.w_min,
-            "w_max": args.w_max,
-            "points": args.points,
-        },
-        {"bode.csv": curve.to_csv},
-        *lines,
-    )
+    echo = ("plant", "channel", "w_min", "w_max", "points")
+    return _emit(args, echo, {"bode.csv": curve.to_csv}, *lines)
 
 
-def cmd_noise(args) -> int:
+def cmd_noise(args, G: RationalTF, pair: CompensatorPair) -> int:
+    """multi-sine noise response of all channels"""
     if args.dt >= args.t_end:
         raise UsageError("dt must be smaller than t_end")
-    pair = _require_pair(args)
-    G = _load_plant(args)
     chans = noise_channels(G, pair.C, pair.P)
     interval = (args.freq_lo, args.freq_hi)
     spec = NoiseSpec(N=args.sines, amp_norm=args.amp, freq_interval=interval, seed=args.seed)
-    if _unstable_loop(G, pair):
-        return 1
     t = np.arange(0.0, args.t_end, args.dt)
     series = noise_time_response(chans, spec, t)
     table = np.column_stack([t] + [s.y for s in series])
     peaks = ", ".join(f"e{k}={np.abs(s.y).max():.4g}" for k, s in enumerate(series, 1))
     return _emit(
         args,
-        {
-            "plant": args.plant,
-            "pair": pair.label,
-            "sines": args.sines,
-            "amp": args.amp,
-            "freq_interval": list(interval),
-            "t_end": args.t_end,
-            "dt": args.dt,
-        },
+        ("plant", "pair", "sines", "amp", "freq_interval", "t_end", "dt"),
         {
             "noise.csv": lambda p: np.savetxt(
                 p, table, fmt="%.17g", delimiter=",", header="t,e1,e2,e3,e4,e5,e6", comments=""
             )
         },
         f"per-channel peak |y|: {peaks}",
+        pair=pair.label,
+        freq_interval=list(interval),
     )
 
 
-def cmd_robustness(args) -> int:
-    pair = _require_pair(args)
+def cmd_robustness(args, _G, pair: CompensatorPair) -> int:
+    """plant-perturbation Monte Carlo"""
     rep = robustness_mc(
         pair.C, pair.P, M=args.mass, trials=args.trials, sigma=args.sigma, seed=args.seed
     )
-    return _emit_mc(args, rep, {"pair": pair.label, "mass": args.mass})
+    return _emit_mc(args, ("pair", "mass"), rep, pair)
 
 
-def cmd_fragility(args) -> int:
-    pair = _require_pair(args)
-    G = _load_plant(args)
+def cmd_fragility(args, G: RationalTF, pair: CompensatorPair) -> int:
+    """compensator-perturbation Monte Carlo"""
     rep = fragility_mc(
         G, pair.C, pair.P, trials=args.trials, sigma=args.sigma, seed=args.seed
     )
-    return _emit_mc(args, rep, {"plant": args.plant, "pair": pair.label})
+    return _emit_mc(args, ("plant", "pair"), rep, pair)
 
 
-def cmd_modern(args) -> int:
+def cmd_modern(args, G: RationalTF, _pair) -> int:
+    """observer-based design walkthrough with verdicts; writes no files"""
     ss = linear_plant(PendulumParams(M=args.mass))
     ctrl = controllability_matrix(ss)
     obs = observability_matrix(ss)
@@ -384,7 +337,6 @@ def cmd_modern(args) -> int:
     est_factor = Polynomial.from_roots(DEMO_ESTIMATOR_POLES)
     Q = remove_factor(raw, est_factor)
     print(f"closed loop with estimator dynamics removed: Q = {_tf_str(Q)}")
-    G = position_plant(M=args.mass)
     for name, eq in (("K_b", equivalent_Kb(Q, G)), ("K_f", equivalent_Kf(Q, G))):
         print(f"equivalent single-loop compensator {name}:")
         print(f"  reduced: {_tf_str(eq.reduced)}")
@@ -408,69 +360,110 @@ def cmd_modern(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if v < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return v
+def _number(kind, ok, need: str):
+    """argparse type: text read as kind (int or float), rejected unless ok(value)."""
+    noun = "an integer" if kind is int else "a number"
+
+    def parse(text: str):
+        try:
+            v = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {noun}") from None
+        if not ok(v):
+            raise argparse.ArgumentTypeError(f"must be {need}")
+        return v
+
+    return parse
 
 
-def _unsigned_int(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if v < 0:
-        raise argparse.ArgumentTypeError("must be a nonnegative integer")
-    return v
+_positive_int = _number(int, lambda v: v >= 1, "a positive integer")
+_unsigned_int = _number(int, lambda v: v >= 0, "a nonnegative integer")
+_positive_float = _number(float, lambda v: 0.0 < v < float("inf"), "positive and finite")
 
 
-def _positive_float(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not 0.0 < v < float("inf"):
-        raise argparse.ArgumentTypeError("must be positive and finite")
-    return v
+def _flags(*specs: tuple[str, dict]) -> argparse.ArgumentParser:
+    """Parent parser for one group of flags, each (flag, add_argument keywords)."""
+    group = argparse.ArgumentParser(add_help=False)
+    for flag, kw in specs:
+        group.add_argument(flag, **kw)
+    return group
 
 
-def _add_plant(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--plant",
-        default="pendulum-position",
-        help="pendulum-position, pendulum-angle, or file:PATH (JSON with num/den)",
+def _time(t_end: float, dt: float) -> argparse.ArgumentParser:
+    return _flags(
+        ("--t-end", dict(type=_positive_float, default=t_end)),
+        ("--dt", dict(type=_positive_float, default=dt)),
     )
 
 
-def _add_pair(p: argparse.ArgumentParser, default: str | None = "a") -> None:
-    p.add_argument(
-        "--pair",
-        default=default,
-        help="builtin pair label (a, b) or 'none'",
+def _output(out_help: str) -> argparse.ArgumentParser:
+    return _flags(
+        ("--out", dict(default=None, help=out_help)),
+        ("--mass", dict(type=_positive_float, default=0.3, help="cart mass")),
     )
-    p.add_argument(
+
+
+PLANT_HELP = "pendulum-position, pendulum-angle, or file:PATH (JSON with num/den)"
+PLANT = _flags(("--plant", dict(default="pendulum-position", help=PLANT_HELP)))
+# angle and modern take no --plant: they work on the pendulum at --mass
+PENDULUM = argparse.ArgumentParser(add_help=False)
+PENDULUM.set_defaults(plant="pendulum-position")
+PAIR = _flags(
+    ("--pair", dict(default="a", help="builtin pair label (a, b) or 'none'")),
+    (
         "--pair-file",
-        default=None,
-        help="JSON file with a compensator pair (overrides --pair)",
-    )
+        dict(default=None, help="JSON file with a compensator pair (overrides --pair)"),
+    ),
+)
+SEED = _flags(("--seed", dict(type=_unsigned_int, default=0)))
+WRITES = _output(f"output directory (default: ${OUT_ENV} or current directory)")
+PRINTS = _output("accepted so one command line serves every command; this command writes no files")
+ORDER = _flags(("--n", dict(type=_positive_int, required=True, help="compensator order")))
+GA = _flags(
+    ("--population", dict(type=_positive_int, default=200)),
+    ("--generations", dict(type=_unsigned_int, default=500)),
+    ("--crossover-rate", dict(type=float, default=0.9)),
+    ("--mutation-rate", dict(type=float, default=0.1)),
+    ("--mutation-scale", dict(type=float, default=0.2)),
+    ("--elitism", dict(type=_unsigned_int, default=2)),
+    ("--init-range", dict(type=float, nargs=2, default=(-12.0, 12.0))),
+)
+CHANNELS = ["h", "plant", "e1", "e2", "e3", "e4", "e5", "e6"]
+BODE = _flags(
+    (
+        "--channel",
+        dict(choices=CHANNELS, default="h", help="closed loop, bare plant, or one noise channel"),
+    ),
+    ("--w-min", dict(type=_positive_float, default=1e-2)),
+    ("--w-max", dict(type=_positive_float, default=1e2)),
+    ("--points", dict(type=_positive_int, default=1000)),
+)
+NOISE = _flags(
+    ("--sines", dict(type=_positive_int, default=4000)),
+    ("--amp", dict(type=float, default=0.01, help="amplitude vector norm")),
+    ("--freq-lo", dict(type=float, default=0.5)),
+    ("--freq-hi", dict(type=float, default=1.5)),
+)
+MC = _flags(
+    ("--trials", dict(type=_positive_int, default=1000)),
+    ("--sigma", dict(type=float, default=0.02)),
+)
 
-
-def _add_common(p: argparse.ArgumentParser, writes: bool = True) -> None:
-    p.add_argument(
-        "--out",
-        default=None,
-        help=(
-            f"output directory (default: ${OUT_ENV} or current directory)"
-            if writes
-            else "accepted so one command line serves every command; "
-            "this command writes no files"
-        ),
-    )
-    p.add_argument("--mass", type=_positive_float, default=0.3, help="cart mass")
+# name: (handler, whose docstring is the help line; flag groups; pair use).
+# A pair use of "optional" loads --pair or --pair-file when given, "needed"
+# requires one, and "loop" also has main exit 1, before the handler writes
+# anything, when the pair's loop with the plant is unstable.
+COMMANDS = {
+    "verify": (cmd_verify, [PLANT, PAIR, PRINTS], "optional"),
+    "synthesize": (cmd_synthesize, [ORDER, SEED, GA, PLANT, WRITES], None),
+    "step": (cmd_step, [_time(60.0, 1e-3), PLANT, PAIR, WRITES], "loop"),
+    "angle": (cmd_angle, [_time(60.0, 1e-3), PAIR, WRITES, PENDULUM], "loop"),
+    "bode": (cmd_bode, [BODE, PLANT, PAIR, WRITES], "loop"),
+    "noise": (cmd_noise, [NOISE, _time(200.0, 0.05), SEED, PLANT, PAIR, WRITES], "loop"),
+    "robustness": (cmd_robustness, [MC, SEED, PAIR, WRITES], "needed"),
+    "fragility": (cmd_fragility, [MC, SEED, PLANT, PAIR, WRITES], "needed"),
+    "modern": (cmd_modern, [PRINTS, PENDULUM], None),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -480,107 +473,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "verify", help="audit a compensator pair against a plant; writes no files"
-    )
-    _add_plant(p)
-    _add_pair(p)
-    _add_common(p, writes=False)
-
-    p = sub.add_parser("synthesize", help="search for a stabilizing stable pair")
-    p.add_argument("--n", type=_positive_int, required=True, help="compensator order")
-    p.add_argument("--seed", type=_unsigned_int, default=0)
-    p.add_argument("--population", type=_positive_int, default=200)
-    p.add_argument("--generations", type=_unsigned_int, default=500)
-    p.add_argument("--crossover-rate", type=float, default=0.9)
-    p.add_argument("--mutation-rate", type=float, default=0.1)
-    p.add_argument("--mutation-scale", type=float, default=0.2)
-    p.add_argument("--elitism", type=_unsigned_int, default=2)
-    p.add_argument("--init-range", type=float, nargs=2, default=(-12.0, 12.0))
-    _add_plant(p)
-    _add_common(p)
-
-    p = sub.add_parser("step", help="closed-loop unit step response to CSV")
-    p.add_argument("--t-end", type=_positive_float, default=60.0)
-    p.add_argument("--dt", type=_positive_float, default=1e-3)
-    _add_plant(p)
-    _add_pair(p)
-    _add_common(p)
-
-    p = sub.add_parser("angle", help="pendulum angle response to CSV")
-    p.add_argument("--t-end", type=_positive_float, default=60.0)
-    p.add_argument("--dt", type=_positive_float, default=1e-3)
-    _add_pair(p)
-    _add_common(p)
-
-    p = sub.add_parser("bode", help="magnitude/phase samples to CSV")
-    p.add_argument(
-        "--channel",
-        choices=["h", "plant", "e1", "e2", "e3", "e4", "e5", "e6"],
-        default="h",
-        help="closed loop, bare plant, or one noise channel",
-    )
-    p.add_argument("--w-min", type=_positive_float, default=1e-2)
-    p.add_argument("--w-max", type=_positive_float, default=1e2)
-    p.add_argument("--points", type=_positive_int, default=1000)
-    _add_plant(p)
-    _add_pair(p)
-    _add_common(p)
-
-    p = sub.add_parser("noise", help="multi-sine noise response of all channels")
-    p.add_argument("--sines", type=_positive_int, default=4000)
-    p.add_argument("--amp", type=float, default=0.01, help="amplitude vector norm")
-    p.add_argument("--freq-lo", type=float, default=0.5)
-    p.add_argument("--freq-hi", type=float, default=1.5)
-    p.add_argument("--t-end", type=_positive_float, default=200.0)
-    p.add_argument("--dt", type=_positive_float, default=0.05)
-    p.add_argument("--seed", type=_unsigned_int, default=0)
-    _add_plant(p)
-    _add_pair(p)
-    _add_common(p)
-
-    p = sub.add_parser("robustness", help="plant-perturbation Monte Carlo")
-    p.add_argument("--trials", type=_positive_int, default=1000)
-    p.add_argument("--sigma", type=float, default=0.02)
-    p.add_argument("--seed", type=_unsigned_int, default=0)
-    _add_pair(p)
-    _add_common(p)
-
-    p = sub.add_parser("fragility", help="compensator-perturbation Monte Carlo")
-    p.add_argument("--trials", type=_positive_int, default=1000)
-    p.add_argument("--sigma", type=float, default=0.02)
-    p.add_argument("--seed", type=_unsigned_int, default=0)
-    _add_plant(p)
-    _add_pair(p)
-    _add_common(p)
-
-    p = sub.add_parser(
-        "modern",
-        help="observer-based design walkthrough with verdicts; writes no files",
-    )
-    _add_common(p, writes=False)
-
+    for name, (run, groups, pair_use) in COMMANDS.items():
+        p = sub.add_parser(name, help=run.__doc__, parents=groups)
+        p.set_defaults(run=run, pair_use=pair_use)
     return ap
-
-
-_HANDLERS = {
-    "verify": cmd_verify,
-    "synthesize": cmd_synthesize,
-    "step": cmd_step,
-    "angle": cmd_angle,
-    "bode": cmd_bode,
-    "noise": cmd_noise,
-    "robustness": cmd_robustness,
-    "fragility": cmd_fragility,
-    "modern": cmd_modern,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        # a Bode plot of the bare plant takes no pair
+        use = None if getattr(args, "channel", None) == "plant" else args.pair_use
+        pair = _load_pair(args) if use else None
+        if use in ("needed", "loop") and pair is None:
+            raise UsageError(f"{args.command} needs --pair or --pair-file")
+        G = _load_plant(args) if "plant" in args else None
+        if use == "loop" and not loop_denominator(G, pair.C, pair.P).is_hurwitz():
+            print("error: the closed loop is unstable", file=sys.stderr)
+            return 1
+        return args.run(args, G, pair)
     except (UsageError, ValueError) as e:
         # bad flags, unreadable input, or a library-level rejection of them
         print(f"error: {e}", file=sys.stderr)

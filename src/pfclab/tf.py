@@ -113,8 +113,11 @@ class RationalTF:
         coeffs = {}
         for key in ("num", "den"):
             entry = _json_entry(d, key)
-            if not isinstance(entry, list):
-                raise ValueError(f"JSON entry {key!r} must be a list of coefficients")
+            numbers = isinstance(entry, list) and all(
+                isinstance(c, (int, float)) and not isinstance(c, bool) for c in entry
+            )
+            if not numbers:
+                raise ValueError(f"JSON entry {key!r} must be a list of numbers")
             coeffs[key] = entry
         return cls(**coeffs)
 
@@ -146,7 +149,10 @@ class CompensatorPair:
             if not isinstance(entry, dict):
                 raise ValueError(f"JSON entry {key!r} must be an object")
             blocks[key] = RationalTF.from_json_dict(entry)
-        return cls(label=str(d.get("label", "")), **blocks)
+        label = d.get("label", "")
+        if not isinstance(label, str):
+            raise ValueError("JSON entry 'label' must be a string")
+        return cls(label=label, **blocks)
 
 
 @dataclass(frozen=True)

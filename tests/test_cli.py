@@ -117,12 +117,23 @@ class TestVerify:
         )
         assert rc == 2
         assert "'den'" in err
-        plant.write_text(json.dumps({"num": 1.0, "den": [1.0, 1.0]}))
-        rc, _, err = run(
-            capsys, "verify", "--plant", f"file:{plant}", "--pair", "none"
-        )
-        assert rc == 2
-        assert "'num'" in err
+        for num in (1.0, [None], [[1.0]], [{}], [True]):
+            plant.write_text(json.dumps({"num": num, "den": [1.0, 1.0]}))
+            rc, _, err = run(
+                capsys, "verify", "--plant", f"file:{plant}", "--pair", "none"
+            )
+            assert rc == 2
+            assert "'num'" in err
+        # the report starts only after the pair has loaded
+        unit = {"num": [1], "den": [1]}
+        for bad, key in (
+            ({"C": {"num": [[1]], "den": [1]}, "P": unit}, "'num'"),
+            ({"label": None, "C": unit, "P": unit}, "'label'"),
+        ):
+            pair.write_text(json.dumps(bad))
+            rc, out, err = run(capsys, "verify", "--pair-file", str(pair))
+            assert (rc, out) == (2, "")
+            assert key in err
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +213,14 @@ class TestSynthesize:
         assert not any(tmp_path.iterdir())
 
     def test_overflowing_init_range(self, capsys, tmp_path):
-        for lo, hi in ((" -1e308", "1e308"), (" -8e307", "8e307")):
-            rc, _, err = run(
-                capsys, "synthesize", "--n", "1", "--init-range", lo, hi, "--out", str(tmp_path)
-            )
+        # the last range passes GaConfig; a later generation's blend overflows
+        late = ["--population", "6", "--generations", "10", "--crossover-rate", "1"]
+        for flags in (
+            ["--init-range", " -1e308", "1e308"],
+            ["--init-range", " -8e307", "8e307"],
+            ["--init-range", " -4e307", "4e307", *late],
+        ):
+            rc, _, err = run(capsys, "synthesize", "--n", "1", *flags, "--out", str(tmp_path))
             assert rc == 2
             assert err.startswith("error: init_range is too wide")
         assert not any(tmp_path.iterdir())
@@ -453,6 +468,16 @@ class TestOutputDir:
         assert rc == 0
         assert (explicit / "step.csv").exists()
         assert not (tmp_path / "env").exists()
+
+    @pytest.mark.parametrize("blocked", ["step.csv", "step_metadata.json"])
+    def test_unwritable_artifact_is_usage_error(self, capsys, tmp_path, blocked):
+        (tmp_path / blocked).mkdir()
+        rc, out, err = run(
+            capsys, "step", "--pair", "a", "--t-end", "2", "--out", str(tmp_path)
+        )
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: cannot write")
+        assert blocked in err
 
     @pytest.mark.parametrize("command", ["verify", "modern"])
     def test_print_only_commands_say_they_write_nothing(self, capsys, tmp_path, command):
