@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from pfclab.analysis import GRID_POINTS, GRID_W_MAX, GRID_W_MIN
 from pfclab.plant import PendulumParams, nonlinear_derivatives
-from pfclab.poly import Polynomial
+from pfclab.poly import CONJUGATE_TOL, Polynomial
 from pfclab.sim import (
     DIVERGENCE_BOUND,
     TimeSeries,
@@ -113,6 +113,41 @@ def digest_polynomials():
             p = Polynomial(rng.standard_normal(d) * 10.0 ** rng.integers(-4, 5, d))
         polys.append(p)
     return polys
+
+
+def reference_from_roots(roots):
+    """`Polynomial.from_roots` by in-order nearest-conjugate pairing, one root at a time.
+
+    The reference the array pairing of `from_roots` must match bit for bit
+    on conjugate-closed lists without repeated complex pairs.  Each root in
+    input order is snapped onto the real axis when near-real, else paired
+    with the nearest later unused root whose conjugate lies within
+    CONJUGATE_TOL; a pair becomes the real quadratic of its average.
+    """
+    rts = [complex(r) for r in roots]
+    used = [False] * len(rts)
+    p = Polynomial((1.0,))
+    s = Polynomial((0.0, 1.0))
+    for i, r in enumerate(rts):
+        if used[i]:
+            continue
+        tol = CONJUGATE_TOL * (1.0 + abs(r))
+        if abs(r.imag) <= tol or r.imag == 0.0:  # a NaN modulus snaps nothing
+            p = p * (s - r.real)
+            continue
+        best_j, best_d = -1, math.inf
+        for j in range(i + 1, len(rts)):
+            d = abs(r.conjugate() - rts[j])
+            if not used[j] and d < best_d:
+                best_j, best_d = j, d
+        if best_j < 0 or best_d > tol:
+            raise ValueError(
+                "root set is not closed under conjugation; cannot build a real polynomial"
+            )
+        used[best_j] = True
+        z = 0.5 * (r + rts[best_j].conjugate())
+        p = p * Polynomial((z.real * z.real + z.imag * z.imag, -2.0 * z.real, 1.0))
+    return p
 
 
 def array_digest(arrays):

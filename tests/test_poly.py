@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from pfclab.cli import _poly_str, _tf_str
 from pfclab.poly import Polynomial, roots_rows, roots_stack
 from pfclab.tf import RationalTF, loop_denominator
 
@@ -13,6 +14,7 @@ from helpers import (
     digest_polynomials,
     expand_conjugates,
     match_error,
+    reference_from_roots,
     rightmost_real_part,
     separated,
     stable_root,
@@ -48,6 +50,46 @@ def test_zero_polynomial_representation():
     assert Polynomial((0.0, 0.0, 0.0)).coeffs == (0.0,)
     assert Polynomial((0.0,)).degree == -1
     assert Polynomial((0.0,)).is_zero
+
+
+@pytest.mark.parametrize(
+    "coeffs, text",
+    [
+        ((2.5,), "2.5"),
+        ((-3.0,), "-3"),
+        ((0.0, 1.0), "s"),
+        ((0.0, -1.0), "-s"),
+        ((-1.0, 0.0, 1.0), "s^2 - 1"),
+        ((1.0, -1.0, 0.0, -2.0), "-2s^3 - s + 1"),
+        ((0.0, 0.0, 0.0, 1.0), "s^3"),
+        ((0.5, 0.0, 1e-7), "1e-07s^2 + 0.5"),
+    ],
+)
+def test_printed_form(coeffs, text):
+    assert _poly_str(Polynomial(coeffs)) == text
+
+
+def test_printed_form_of_the_modern_walkthrough():
+    # the Q and reduced K_b, K_f lines of `pfclab modern`
+    third = 1.0 / 3.0
+    for num, den, text in (
+        (
+            (-10 * third, 0.0, 10 * third),
+            (10.0, 18.0, 15.0, 6.0, 1.0),
+            "(3.33333s^2 - 3.33333) / (s^4 + 6s^3 + 15s^2 + 18s + 10)",
+        ),
+        (
+            (10.0, 18.0, 58 * third, 6.0),
+            (-10 * third, 0.0, 10 * third),
+            "(6s^3 + 19.3333s^2 + 18s + 10) / (3.33333s^2 - 3.33333)",
+        ),
+        (
+            (0.0, 0.0, -13 * third, 0.0, 1.0),
+            (40 * third, 18.0, 35 * third, 6.0, 1.0),
+            "(s^4 - 4.33333s^2) / (s^4 + 6s^3 + 11.6667s^2 + 18s + 13.3333)",
+        ),
+    ):
+        assert _tf_str(RationalTF(num, den)) == text
 
 
 def test_no_epsilon_trimming():
@@ -361,6 +403,49 @@ def test_newton_division_rounds_as_numpy_complex_division():
 def test_from_roots_rejects_unpaired_complex():
     with pytest.raises(ValueError):
         Polynomial.from_roots([1.0 + 2.0j])
+
+
+def root_lists():
+    """Shuffled conjugate-closed root lists without repeated complex pairs.
+
+    Real roots may repeat.  Near-real roots sit within 1e-9 of the axis, and
+    a partner may sit up to 1e-8 off the exact conjugate.  Real parts come
+    from a quarter grid half the time, so pairs often share one.
+    """
+    part = st.one_of(st.integers(-12, 12).map(lambda k: k / 4.0), st.floats(-3.0, 3.0))
+    nudge = st.floats(-1e-8, 1e-8) | st.just(0.0)
+    pair = st.tuples(part, st.floats(0.05, 3.0), nudge, nudge).map(
+        lambda t: [complex(t[0], t[1]), complex(t[0] + t[2], -t[1] + t[3])]
+    )
+    near_real = st.tuples(part, st.floats(-1e-9, 1e-9)).map(lambda t: [complex(*t)])
+    real = part.map(lambda x: [complex(x, 0.0)])
+    groups = st.lists(st.one_of(pair, near_real, real), max_size=8).filter(
+        lambda g: separated([r[0] for r in g if abs(r[0].imag) > 1e-6], gap=1e-3)
+    )
+    return groups.flatmap(lambda g: st.permutations([r for grp in g for r in grp]))
+
+
+@given(root_lists())
+def test_from_roots_matches_in_order_nearest_pairing(roots):
+    assert Polynomial.from_roots(roots).coeffs == reference_from_roots(roots).coeffs
+
+
+@given(root_lists(), st.sampled_from(["drop", "move", "add"]), st.randoms(use_true_random=False))
+def test_from_roots_rejects_what_in_order_pairing_rejects(roots, how, rnd):
+    # a partner moved 1e-4 lies beyond CONJUGATE_TOL * (1 + |z|) of its pair
+    # and, pairs lying 1e-3 apart, beyond that of any other
+    pairs = [k for k, r in enumerate(roots) if r.imag < -1e-6]
+    assume(pairs or how == "add")
+    roots = list(roots)
+    if how == "add":
+        roots.insert(rnd.randrange(len(roots) + 1), complex(5.0, 1.0))
+    elif how == "drop":
+        del roots[rnd.choice(pairs)]
+    else:
+        roots[rnd.choice(pairs)] += 1e-4
+    for build in (Polynomial.from_roots, reference_from_roots):
+        with pytest.raises(ValueError, match="not closed under conjugation"):
+            build(roots)
 
 
 def test_roots_output_is_conjugate_closed():
