@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .analysis import bode as bode_curve
 from .analysis import fragility_mc, robustness_mc
-from .designs import BUILTIN_PAIRS, get_pair
+from .designs import BUILTIN_PAIRS
 from .modern import (
     combined_system,
     controllability_matrix,
@@ -95,7 +95,7 @@ def _load_pair(args) -> CompensatorPair | None:
     if args.pair == "none":
         return None
     try:
-        return get_pair(args.pair)
+        return BUILTIN_PAIRS[args.pair]
     except KeyError:
         raise UsageError(
             f"unknown pair {args.pair!r}; builtin choices: "
@@ -146,32 +146,6 @@ def _emit_mc(args, echo: tuple, rep, pair: CompensatorPair) -> int:
 # ---------------------------------------------------------------------------
 # formatting
 # ---------------------------------------------------------------------------
-
-
-def _poly_str(p: Polynomial) -> str:
-    if p.degree == 0:
-        return f"{p.coeffs[0]:g}"
-    parts = []
-    for k in range(p.degree, -1, -1):
-        c = p.coeffs[k]
-        if c == 0.0:
-            continue
-        mag = f"{abs(c):g}"
-        if k == 0:
-            term = mag
-        else:
-            base = "s" if k == 1 else f"s^{k}"
-            term = base if mag == "1" else f"{mag}{base}"
-        parts.append(("-" if c < 0 else "+", term))
-    sign0, term0 = parts[0]
-    out = ("-" if sign0 == "-" else "") + term0
-    for sign, term in parts[1:]:
-        out += f" {sign} {term}"
-    return out
-
-
-def _tf_str(tf: RationalTF) -> str:
-    return f"({_poly_str(tf.num)}) / ({_poly_str(tf.den)})"
 
 
 def _matrix_str(m: np.ndarray) -> str:
@@ -336,10 +310,10 @@ def cmd_modern(args, G: RationalTF, _pair) -> int:
     raw = ss_to_tf(comb.A, comb.B, comb.C)
     est_factor = Polynomial.from_roots(DEMO_ESTIMATOR_POLES)
     Q = remove_factor(raw, est_factor)
-    print(f"closed loop with estimator dynamics removed: Q = {_tf_str(Q)}")
+    print(f"closed loop with estimator dynamics removed: Q = {Q}")
     for name, eq in (("K_b", equivalent_Kb(Q, G)), ("K_f", equivalent_Kf(Q, G))):
         print(f"equivalent single-loop compensator {name}:")
-        print(f"  reduced: {_tf_str(eq.reduced)}")
+        print(f"  reduced: {eq.reduced}")
         flags = [
             "proper" if eq.proper else "improper",
             "stable" if eq.stable else "unstable",

@@ -29,9 +29,3 @@ BUILTIN_PAIRS = {"a": PAIR_A, "b": PAIR_B}
 # single-loop configuration; companion piece to the angle demo
 ANGLE_DEMO_COMPENSATOR = RationalTF((-3.0, -1.0), (10.0, 1.0))
 
-
-def get_pair(label: str) -> CompensatorPair:
-    try:
-        return BUILTIN_PAIRS[label]
-    except KeyError:
-        raise KeyError(f"no built-in pair {label!r}; choose from {sorted(BUILTIN_PAIRS)}")

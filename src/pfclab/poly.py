@@ -45,7 +45,10 @@ class Polynomial:
     coeffs: tuple[float, ...]
 
     def __init__(self, coeffs: Iterable[float]):
-        c = [float(x) + 0.0 for x in coeffs]  # +0.0 folds -0.0 into 0.0
+        try:
+            c = [float(x) + 0.0 for x in coeffs]  # +0.0 folds -0.0 into 0.0
+        except OverflowError:  # an integer past the largest double, as 1e400 reads
+            c = [math.inf]
         if not all(map(math.isfinite, c)):
             raise ValueError("polynomial coefficients must be finite")
         object.__setattr__(self, "coeffs", tuple(trim_trailing_zeros(c or [0.0])))
@@ -54,23 +57,39 @@ class Polynomial:
     def from_roots(cls, roots: Sequence[complex]) -> "Polynomial":
         """Monic polynomial with the given roots.
 
-        The root list must be closed under conjugation within CONJUGATE_TOL;
-        conjugate pairs are folded into real quadratic factors so the result
-        has exactly real coefficients.
+        The root list must be closed under conjugation within CONJUGATE_TOL.
+        Near-real roots go onto the real axis as `roots_stack` puts them,
+        and the lower-half roots then meet the upper-half ones in one sorted
+        array step.  Each pair becomes the real quadratic of its conjugate
+        average, at the place of its first member, and the factors multiply
+        in input order, so the result has exactly real coefficients.
         """
+        z = _snap_real(np.array(roots, dtype=complex).reshape(-1))
+        up, lo = np.flatnonzero(z.imag > 0.0), np.flatnonzero(~(z.imag >= 0.0))  # NaN below
+        closed = len(up) == len(lo)
+        if closed and len(up):
+            u = z[up].conj()
+            # a root sorts by the first u within CONJUGATE_TOL of it, so each
+            # lower root lines up with a partner, in a repeated pair too
+            tol = CONJUGATE_TOL * (1.0 + np.abs(u))
+            up = up[np.argsort(np.argmax(np.abs(u[:, None] - u) <= tol, axis=1), kind="stable")]
+            lo = lo[np.argsort(np.argmax(np.abs(z[lo, None] - u) <= tol, axis=1), kind="stable")]
+            # abs as CPython computes it, of the first member of each pair
+            d, r = z[up].conj() - z[lo], z[np.minimum(up, lo)]
+            tol = CONJUGATE_TOL * (1.0 + np.hypot(r.real, r.imag))
+            closed = bool(np.all(np.hypot(d.real, d.imag) <= tol))
+        if not closed:
+            raise ValueError(
+                "root set is not closed under conjugation; cannot build a real polynomial"
+            )
+        factors = {i: (-z.real[i], 1.0) for i in np.flatnonzero(z.imag == 0.0).tolist()}
+        for i, j in zip(up.tolist(), lo.tolist()):
+            m = 0.5 * (z[i] + z[j].conjugate())
+            # modulus squared without the hypot round trip, exact for exact inputs
+            factors[min(i, j)] = (m.real * m.real + m.imag * m.imag, -2.0 * m.real, 1.0)
         p = cls((1.0,))
-        s = cls((0.0, 1.0))
-        for z, paired in _pair_conjugates([complex(r) for r in roots]):
-            if paired:
-                # modulus squared without the hypot round trip, exact for exact inputs
-                p = p * cls((z.real * z.real + z.imag * z.imag, -2.0 * z.real, 1.0))
-            elif z.imag == 0.0:
-                p = p * (s - z.real)
-            else:
-                raise ValueError(
-                    "root set is not closed under conjugation; cannot build "
-                    "a real polynomial"
-                )
+        for i in sorted(factors):
+            p = p * cls(factors[i])
         return p
 
     # ------------------------------------------------------------------
@@ -183,18 +202,17 @@ class Polynomial:
             ]
         return True
 
-    def __repr__(self) -> str:
+    def __str__(self) -> str:
+        """Descending powers with a sign between terms, ``-2s^3 - s + 1``."""
         terms = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0.0 and self.degree > 0:
-                continue
-            if k == 0:
-                terms.append(f"{c:g}")
-            elif k == 1:
-                terms.append(f"{c:g}*s")
-            else:
-                terms.append(f"{c:g}*s^{k}")
-        return "Polynomial(" + " + ".join(terms) + ")"
+        for k in range(self.degree, -1, -1):
+            c = self.coeffs[k]
+            mag = f"{abs(c):g}"
+            power = "" if k == 0 else "s" if k == 1 else f"s^{k}"
+            if c != 0.0:
+                terms.append(("- " if c < 0 else "+ ") + (power if mag == "1" and k else mag + power))
+        text = " ".join(terms) or "+ 0"  # the zero polynomial
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def hurwitz_stack(c: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -287,7 +305,7 @@ def roots_stack(c: np.ndarray) -> np.ndarray:
     step: LAPACK returns each non-real pair as adjacent exact conjugates,
     and `_newton` treats z and conj(z) alike bit for bit, so each pair is
     already its own conjugate average; only the near-real roots move, onto
-    the real axis.
+    the real axis by `_snap_real`, the rule `Polynomial.from_roots` applies.
     """
     c = np.asarray(c, dtype=float) + 0.0  # + 0.0 folds -0.0 as Polynomial does
     if c.ndim != 2 or c.shape[1] < 2 or not np.all(c[:, -1] != 0.0):
@@ -302,10 +320,14 @@ def roots_stack(c: np.ndarray) -> np.ndarray:
         rows = np.flatnonzero(n_zero == k)
         if k < z.shape[1]:
             z[rows, k:] = _polished_roots(c[rows, k:])
+    _snap_real(z).sort(axis=1)
+    return z
+
+
+def _snap_real(z: np.ndarray) -> np.ndarray:
+    """``z``, in place, with each root of |imag| <= CONJUGATE_TOL * (1 + |z|) on the real axis."""
     # abs(z) as CPython computes it; numpy's complex abs rounds otherwise
-    snap = np.abs(z.imag) <= CONJUGATE_TOL * (1.0 + np.hypot(z.real, z.imag))
-    z.imag[snap] = 0.0
-    z.sort(axis=1)
+    z.imag[np.abs(z.imag) <= CONJUGATE_TOL * (1.0 + np.hypot(z.real, z.imag))] = 0.0
     return z
 
 
@@ -395,37 +417,3 @@ def _cdiv(ar, ai, br, bi):
     qr = np.where(big, ar + ai * rat, ar * rat + ai) * scl
     qi = np.where(big, ai - ar * rat, ai * rat - ar) * scl
     return qr, qi
-
-
-def _pair_conjugates(roots: Sequence[complex]) -> list[tuple[complex, bool]]:
-    """In-order nearest-conjugate pairing, one ``(z, paired)`` per group.
-
-    Serves `Polynomial.from_roots` only; `roots_stack` pairs a whole array
-    at once.  A near-real root comes back snapped to the real axis, a conjugate pair
-    as its average z (the partner being conj(z)), and a non-real root with
-    no partner within CONJUGATE_TOL as itself, unpaired.
-    """
-    tol = CONJUGATE_TOL
-    rts = list(roots)
-    used = [False] * len(rts)
-    out: list[tuple[complex, bool]] = []
-    for i, r in enumerate(rts):
-        if used[i]:
-            continue
-        if abs(r.imag) <= tol * (1.0 + abs(r)):
-            out.append((complex(r.real, 0.0), False))
-            continue
-        want = r.conjugate()
-        best_j, best_d = -1, math.inf
-        for j in range(i + 1, len(rts)):
-            if used[j]:
-                continue
-            d = abs(want - rts[j])
-            if d < best_d:
-                best_j, best_d = j, d
-        if best_j >= 0 and best_d <= tol * (1.0 + abs(r)):
-            used[best_j] = True
-            out.append((0.5 * (r + rts[best_j].conjugate()), True))
-        else:
-            out.append((r, False))
-    return out

@@ -34,6 +34,11 @@ LARGE = 1e9
 TOURNAMENT_SIZE = 3
 BLEND_ALPHA = 0.5
 
+# the weights of `objective`, named in its docstring
+PENALTY = 6.0
+EPS1 = 1e-5
+EPS2 = 1e-4
+
 
 @dataclass(frozen=True)
 class CoeffVector:
@@ -110,25 +115,16 @@ def encode(pair: CompensatorPair, n: int | None = None) -> CoeffVector:
 
 @dataclass(frozen=True)
 class ObjectiveConfig:
-    """Plant and weights for the pole-placement score."""
+    """Plant for the pole-placement score; the weights are PENALTY, EPS1 and EPS2."""
 
     plant: RationalTF
-    penalty: float = 6.0
-    eps1: float = 1e-5
-    eps2: float = 1e-4
-
-    def __post_init__(self):
-        if not (math.isfinite(self.penalty) and self.penalty > 0.0):
-            raise ValueError("penalty must be positive")
-        if self.eps1 < 0.0 or self.eps2 < 0.0:
-            raise ValueError("eps weights must be nonnegative")
 
     def to_json_dict(self) -> dict:
         return {
             "plant": self.plant.to_json_dict(),
-            "penalty": self.penalty,
-            "eps1": self.eps1,
-            "eps2": self.eps2,
+            "penalty": PENALTY,
+            "eps1": EPS1,
+            "eps2": EPS2,
         }
 
 
@@ -137,11 +133,11 @@ def objective(vec: CoeffVector, cfg: ObjectiveConfig) -> float:
 
     p1 is the rightmost real part over the candidate's own poles, p2 the
     rightmost over the closed-loop poles.  While p1 >= 0 the score is
-    p2 + penalty*p1, which pushes the compensators themselves into the left
+    p2 + PENALTY*p1, which pushes the compensators themselves into the left
     half plane before polishing the loop; once p1 < 0 only p2 remains.  Two
     small regularizers keep coefficients and pole magnitudes from drifting:
 
-        F = f0 + eps1*||q||_2 + eps2*max|z_H|.
+        F = f0 + EPS1*||q||_2 + EPS2*max|z_H|.
 
     Candidates whose compensator or closed-loop denominator degree
     collapses score LARGE instead of raising.  The one-row case of
@@ -182,11 +178,11 @@ def objective_batch(rows, n: int, cfg: ObjectiveConfig) -> np.ndarray:
     z_H = roots_stack(den[ok, : deg + 1])
     p1 = np.where(right_P > right_C, right_P, right_C)  # max(right_C, right_P), NaN too
     p2 = z_H.real.max(axis=1)
-    f0 = np.where(p1 >= 0.0, p2 + cfg.penalty * p1, p2)
+    f0 = np.where(p1 >= 0.0, p2 + PENALTY * p1, p2)
     # numpy's dot function per row rounds as np.linalg.norm does; an axis-1 sum may not
     q = rows[scored]
     norm = np.sqrt(np.vecdot(q, q))
-    F[scored] = f0 + cfg.eps1 * norm + cfg.eps2 * np.abs(z_H).max(axis=1)
+    F[scored] = f0 + EPS1 * norm + EPS2 * np.abs(z_H).max(axis=1)
     return F
 
 
@@ -472,9 +468,11 @@ def _next_population(pop: np.ndarray, fit: np.ndarray, drawn, cfg: GaConfig) -> 
     kids = pop[win]
     pa, pb = kids[crossed, 0], kids[crossed, 1]
     lo, hi = np.minimum(pa, pb), np.maximum(pa, pb)
-    d = hi - lo
-    low = lo - BLEND_ALPHA * d
-    span = (hi + BLEND_ALPHA * d) - low
+    # an overflowing span is judged by the check below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = hi - lo
+        low = lo - BLEND_ALPHA * d
+        span = (hi + BLEND_ALPHA * d) - low
     if not np.all(np.isfinite(span)):
         raise OverflowError("Range exceeds valid bounds")  # as rng.uniform raises it
     # rng.uniform(low, high) draws low + (high - low) * unit

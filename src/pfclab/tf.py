@@ -100,8 +100,8 @@ class RationalTF:
 
     __rmul__ = __mul__
 
-    def __repr__(self) -> str:
-        return f"RationalTF(num={list(self.num.coeffs)}, den={list(self.den.coeffs)})"
+    def __str__(self) -> str:
+        return f"({self.num}) / ({self.den})"
 
     # -- interchange ------------------------------------------------------
 

@@ -124,6 +124,14 @@ class TestVerify:
             )
             assert rc == 2
             assert "'num'" in err
+        # a 401-digit integer has no double, as 1e400 has none
+        for big in ("1" + "0" * 400, "1e400"):
+            plant.write_text('{"num": [%s], "den": [1, 1]}' % big)
+            rc, _, err = run(
+                capsys, "verify", "--plant", f"file:{plant}", "--pair", "none"
+            )
+            assert rc == 2
+            assert err == "error: polynomial coefficients must be finite\n"
         # the report starts only after the pair has loaded
         unit = {"num": [1], "den": [1]}
         for bad, key in (
@@ -212,6 +220,7 @@ class TestSynthesize:
             assert err.startswith("error: " + field)
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_init_range(self, capsys, tmp_path):
         # the last range passes GaConfig; a later generation's blend overflows
         late = ["--population", "6", "--generations", "10", "--crossover-rate", "1"]
@@ -223,6 +232,7 @@ class TestSynthesize:
             rc, _, err = run(capsys, "synthesize", "--n", "1", *flags, "--out", str(tmp_path))
             assert rc == 2
             assert err.startswith("error: init_range is too wide")
+            assert err.count("\n") == 1
         assert not any(tmp_path.iterdir())
 
 

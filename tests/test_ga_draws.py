@@ -5,6 +5,8 @@ return exactly their values; `ga_search` must then match the per-mating
 loop of `helpers.reference_ga_search` bit for bit.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -131,15 +133,19 @@ def test_ga_search_matches_the_per_mating_loop_at_the_defaults():
         assert_same_search(obj, GaConfig(generations=4, seed=seed), 3)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
 def test_blend_of_an_overflowing_range_raises_as_uniform_does():
     obj = ObjectiveConfig(plant=EASY)
     # GaConfig refuses a range whose first blend span overflows, so the
     # spans grow past the largest double over the generations instead
     cfg = GaConfig(population=6, generations=10, crossover_rate=1.0, init_range=(-4e307, 4e307))
-    for search in (ga_search, reference_ga_search):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the search raises without a warning
         with pytest.raises(OverflowError, match="Range exceeds valid bounds"):
-            search(obj, cfg, 1)
+            ga_search(obj, cfg, 1)
+    # the per-mating reference warns on its way to rng.uniform's error
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(OverflowError, match="Range exceeds valid bounds"):
+            reference_ga_search(obj, cfg, 1)
 
 
 def test_tournaments_with_tied_and_nan_fitness():

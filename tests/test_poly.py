@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from pfclab.cli import _poly_str, _tf_str
 from pfclab.poly import Polynomial, roots_rows, roots_stack
 from pfclab.tf import RationalTF, loop_denominator
 
@@ -55,6 +54,7 @@ def test_zero_polynomial_representation():
 @pytest.mark.parametrize(
     "coeffs, text",
     [
+        ((), "0"),
         ((2.5,), "2.5"),
         ((-3.0,), "-3"),
         ((0.0, 1.0), "s"),
@@ -66,7 +66,7 @@ def test_zero_polynomial_representation():
     ],
 )
 def test_printed_form(coeffs, text):
-    assert _poly_str(Polynomial(coeffs)) == text
+    assert str(Polynomial(coeffs)) == text
 
 
 def test_printed_form_of_the_modern_walkthrough():
@@ -89,7 +89,7 @@ def test_printed_form_of_the_modern_walkthrough():
             "(s^4 - 4.33333s^2) / (s^4 + 6s^3 + 11.6667s^2 + 18s + 13.3333)",
         ),
     ):
-        assert _tf_str(RationalTF(num, den)) == text
+        assert str(RationalTF(num, den)) == text
 
 
 def test_no_epsilon_trimming():
@@ -156,8 +156,10 @@ def test_divmod_roundtrip():
 
 
 def test_nonfinite_coefficients_rejected():
-    with pytest.raises(ValueError, match="finite"):
-        Polynomial([math.nan, 1.0])
+    # an integer past the largest double is rejected as 1e400, read as inf, is
+    for c in (math.nan, math.inf, 10**400, -(10**400)):
+        with pytest.raises(ValueError, match="finite"):
+            Polynomial([c, 1.0])
 
 
 def test_divmod_by_zero():
@@ -446,6 +448,20 @@ def test_from_roots_rejects_what_in_order_pairing_rejects(roots, how, rnd):
     for build in (Polynomial.from_roots, reference_from_roots):
         with pytest.raises(ValueError, match="not closed under conjugation"):
             build(roots)
+
+
+def test_from_roots_pairs_perturbed_partners_of_one_real_part():
+    # partners nudged so that sorting by value alone would cross the pairs
+    roots = [-1 + 1j, -1 + 2j, -0.99999999 - 1j, -0.99999998 - 2j]
+    assert Polynomial.from_roots(roots).coeffs == reference_from_roots(roots).coeffs
+
+
+def test_from_roots_pairs_a_perturbed_repeated_pair():
+    # 2 +- 2.24j twice, one partner 1e-8 off, beside a pair of the same real
+    # part; pairing may differ from in-order pairing in the last bits only
+    roots = [2 + 0.5j, 2 + 2.24j, 2 - 0.5j, 2.00000001 + 2.24j, 2 - 2.24j, 2 - 2.24000001j]
+    got = Polynomial.from_roots(roots).coeffs
+    np.testing.assert_allclose(got, reference_from_roots(roots).coeffs, rtol=1e-14)
 
 
 def test_roots_output_is_conjugate_closed():

@@ -331,12 +331,6 @@ class TestObjective:
         F_minus = objective(vec(-delta), cfg)
         assert abs(F_plus - F_minus) < 1e-6
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="penalty"):
-            ObjectiveConfig(plant=EASY, penalty=0.0)
-        with pytest.raises(ValueError, match="eps"):
-            ObjectiveConfig(plant=EASY, eps1=-1e-9)
-
 
 # ---------------------------------------------------------------------------
 # stacked loop denominators
