@@ -279,6 +279,20 @@ def test_pip_zero_at_origin_counts():
     assert [(z, c) for z, c in v.checks if c % 2] == [(0.0, 1)]
 
 
+def test_pip_near_real_zero_pair():
+    # zeros 2 +- 1e-6j lie within CONJUGATE_TOL * (1 + |z|) of the axis, so
+    # they count as two real zeros and enclose the pole at 3 with infinity;
+    # 2 +- 1e-5j lie beyond it and leave infinity the only real RHP zero
+    den = Polynomial.from_roots([3.0, -1.0, -1.0])
+    near = pip_check(RationalTF([4.0 + 1e-12, -4.0, 1.0], den))
+    assert not near.strongly_stabilizable
+    assert [c for _, c in near.checks] == [0, 1, 0]
+    assert near.checks[0][0] == pytest.approx(2.0, abs=1e-12)
+    far = pip_check(RationalTF([4.0 + 1e-10, -4.0, 1.0], den))
+    assert far.strongly_stabilizable
+    assert far.checks == ()
+
+
 def test_pip_scaling_invariance():
     for plant in (G, F, RationalTF(Polynomial.from_roots([2.0]), Polynomial.from_roots([1.0, 3.0, -2.0]))):
         base = pip_check(plant)
