@@ -23,7 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .poly import Polynomial, trimmed_lengths
 
-# Real/RHP classification tolerance for the strong-stabilizability test.
+# How far left of the axis a real root still counts as closed-RHP in `pip_check`.
 PIP_TOL = 1e-7
 
 # numpy's correlate sums the full-overlap outputs of `np.convolve` in a plain
@@ -363,12 +363,9 @@ def pip_check(G: RationalTF) -> StabilizabilityVerdict:
         raise ValueError("stabilizability undefined for the zero plant")
 
     def real_closed_rhp(arr: np.ndarray) -> list[float]:
-        keep = [
-            float(r.real)
-            for r in arr
-            if r.real > -PIP_TOL and abs(r.imag) <= PIP_TOL * (1.0 + abs(r))
-        ]
-        return sorted(keep)
+        # roots come from `roots_stack`, whose `_snap_real` has already put
+        # every near-real root exactly on the axis
+        return sorted(float(r.real) for r in arr if r.imag == 0.0 and r.real > -PIP_TOL)
 
     zeros = real_closed_rhp(G.zeros())
     if G.is_strictly_proper:
