@@ -222,9 +222,7 @@ def remove_factor(tf: RationalTF, factor: Polynomial) -> RationalTF:
 class EquivalentCompensator:
     """One limiting factorization of the implied loop, with its verdict."""
 
-    raw: RationalTF
     reduced: RationalTF
-    cancelled_factor: Polynomial
     proper: bool
     stable: bool
     plant_cancellations: tuple[complex, ...]
@@ -245,13 +243,11 @@ def _numerator_ratio(Q: RationalTF, G: RationalTF) -> float | None:
     return None
 
 
-def _verdict(raw: RationalTF, reduced: RationalTF, cancelled: Polynomial, G: RationalTF) -> EquivalentCompensator:
+def _verdict(reduced: RationalTF, G: RationalTF) -> EquivalentCompensator:
     loop = RationalTF(reduced.num * G.num, reduced.den * G.den)
     shared = common_factors(loop)
     return EquivalentCompensator(
-        raw=raw,
         reduced=reduced,
-        cancelled_factor=cancelled,
         proper=reduced.is_proper,
         stable=reduced.is_zero or reduced.is_stable(),
         plant_cancellations=shared,
@@ -268,14 +264,12 @@ def equivalent_Kb(Q: RationalTF, G: RationalTF) -> EquivalentCompensator:
     """
     if Q.num.is_zero:
         raise ValueError("Q must be nonzero")
-    raw = RationalTF(Q.den * G.num - G.den * Q.num, Q.num * G.num)
     lam = _numerator_ratio(Q, G)
     if lam:
         reduced = RationalTF(Q.den - G.den * lam, G.num * lam)
-        cancelled = G.num
     else:
-        reduced, cancelled = raw, Polynomial((1.0,))
-    return _verdict(raw, reduced, cancelled, G)
+        reduced = RationalTF(Q.den * G.num - G.den * Q.num, Q.num * G.num)
+    return _verdict(reduced, G)
 
 
 def equivalent_Kf(Q: RationalTF, G: RationalTF) -> EquivalentCompensator:
@@ -284,14 +278,9 @@ def equivalent_Kf(Q: RationalTF, G: RationalTF) -> EquivalentCompensator:
     d_Q always cancels; the shared-numerator factor goes the same way as in
     the feedback case, leaving lam * d_G / (d_Q - n_Q).
     """
-    raw = RationalTF(
-        Q.num * G.den * Q.den, Q.den * (G.num * (Q.den - Q.num))
-    )
     lam = _numerator_ratio(Q, G)
     if lam is not None:
         reduced = RationalTF(G.den * lam, Q.den - Q.num)
-        cancelled = G.num * Q.den if lam else Q.den
     else:
         reduced = RationalTF(Q.num * G.den, G.num * (Q.den - Q.num))
-        cancelled = Q.den
-    return _verdict(raw, reduced, cancelled, G)
+    return _verdict(reduced, G)

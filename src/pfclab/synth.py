@@ -514,21 +514,6 @@ class VerificationReport:
             and self.closed_loop_stable
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "c_proper": self.c_proper,
-            "p_proper": self.p_proper,
-            "c_stable": self.c_stable,
-            "p_stable": self.p_stable,
-            "closed_loop_stable": self.closed_loop_stable,
-            "c_rightmost": self.c_rightmost,
-            "p_rightmost": self.p_rightmost,
-            "h_rightmost": self.h_rightmost,
-            "c_relative_degree": self.c_relative_degree,
-            "p_relative_degree": self.p_relative_degree,
-            "passed": self.passed,
-        }
-
 
 def verify_pair(G: RationalTF, pair: CompensatorPair) -> VerificationReport:
     """Re-derive every stability and properness claim for a pair.

@@ -627,14 +627,6 @@ class TestVerifyPair:
             assert ok == den.is_hurwitz()
             assert r == (rightmost_real_part(den) if den.degree else -math.inf)
 
-    def test_report_json_fields(self):
-        d = verify_pair(G_PEND, PAIR_B).to_json_dict()
-        assert d["passed"] is True
-        assert set(d) >= {
-            "c_proper", "p_proper", "c_stable", "p_stable",
-            "closed_loop_stable", "h_rightmost",
-        }
-
     def test_successful_search_passes_verification(self):
         res = ga_search(
             ObjectiveConfig(plant=EASY),
