@@ -9,8 +9,8 @@ module, lists the flag groups each command takes.
 
 Exit codes: 0 all checks passed or data written, 1 an analysis reached a
 negative verdict (verification failed, no stabilizing pair found, unstable
-loop), 2 bad usage, unreadable input, unwritable output, or a search whose
-init_range overflows.
+loop), 2 bad usage, unreadable input, unwritable output, or a search that
+overflows (init_range too wide, mutation_scale too large).
 """
 
 from __future__ import annotations
@@ -197,8 +197,8 @@ def cmd_synthesize(args, plant: RationalTF, _pair) -> int:
     try:
         res = ga_search(ObjectiveConfig(plant=plant), ga, args.n)
     except OverflowError as e:
-        # a later blend span passed the largest double
-        raise UsageError(f"init_range is too wide: the search overflowed ({e})") from None
+        # a later blend span or a mutated gene passed the largest double
+        raise UsageError(str(e)) from None
     status = "success" if res.success else "no stabilizing pair found"
     lines = [f"n={args.n} seed={args.seed}: best F = {res.best_F:.6f} ({status})"]
     if res.success:

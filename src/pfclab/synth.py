@@ -312,18 +312,9 @@ def ga_search(
     log-normal factor ``exp(mutation_scale * rng.standard_normal(k))``
     for each of its k chosen genes.
 
-    Each generation takes two passes that give exactly those children.
-    The draw pass (`_draw_matings`) walks the matings in that order and
-    reads every draw but the normals off the generator's raw 64-bit words
-    (`WordDraws`), as numpy's PCG64 `Generator` reads them: ``random()`` is
-    the 53-bit double ``(w >> 11) * 2**-53`` of one word; ``integers``
-    bounds 32-bit halves by Lemire's multiply-and-reject, the low half of
-    a word first, its high half buffered for the next bounded draw however
-    many 64-bit draws come between.  The normals come from
-    ``rng.standard_normal`` itself, in their place in the stream, because
-    numpy's ziggurat tables are not reachable from Python; they read whole
-    words and leave the buffered half alone.  The array pass
-    (`_next_population`) then builds all children at once.
+    `_next_population` makes those calls one mating at a time and then
+    builds every child of the generation in one array pass.  A blend span
+    or a kept child's gene past the largest double raises OverflowError.
     """
     if n < 1:
         raise ValueError("compensator order must be at least 1")
@@ -338,9 +329,8 @@ def ga_search(
     best_F = float(fit[best_i])
     history = [best_F]
 
-    draws = WordDraws(rng)
     for _ in range(ga_cfg.generations):
-        pop = _next_population(pop, fit, _draw_matings(draws, ga_cfg, dim), ga_cfg)
+        pop = _next_population(rng, pop, fit, ga_cfg)
         fit = objective_batch(pop, n, obj_cfg)
         i = int(fit.argmin())
         if fit[i] < best_F:
@@ -359,113 +349,38 @@ def ga_search(
     )
 
 
-class WordDraws:
-    """Draws of a PCG64 `numpy.random.Generator`, read off its raw 64-bit words.
+def _next_population(
+    rng: np.random.Generator, pop: np.ndarray, fit: np.ndarray, cfg: GaConfig
+) -> np.ndarray:
+    """The population after ``pop``, of fitness ``fit``: its elites, then the children.
 
-    ``words(k)`` are the generator's next k words, each w of which numpy's
-    own calls read as follows:
-
-    - ``random()`` is the 53-bit double ``(w >> 11) * 2**-53``, so it lies
-      below a rate r exactly when ``w < word_bound(r)``;
-    - ``integers(0, N)`` for N < 2**32 reads 32-bit halves, the low half of
-      a word first.  The high half waits in the bit generator for the next
-      32-bit draw, past any 64-bit draws in between.  A half h gives
-      ``m = h * N``, and the draw ``m >> 32`` unless ``m mod 2**32`` is
-      below ``(2**32 - N) mod N``, when numpy rejects h and takes the next
-      half (Lemire's bound);
-    - ``standard_normal`` reads whole words only, so it can be called on
-      the generator itself between these draws.
-
-    The waiting half is kept here, read from the generator's state when
-    this object is made; the generator's own bounded integer draws would
-    not see it afterwards.
+    The draws are made one mating at a time, in `ga_search`'s stream order,
+    and then every tournament, blend and mutation of the generation is done
+    at once, in the per-mating floating-point operations, so each child is
+    bit for bit the one the calls in `ga_search`'s docstring give.  One
+    ``rng.integers`` call of six draws what two calls of three would.
     """
-
-    def __init__(self, rng: np.random.Generator):
-        bit_gen = rng.bit_generator
-        state = bit_gen.state
-        if state["bit_generator"] != "PCG64":
-            raise ValueError(f"raw word draws need PCG64, not {state['bit_generator']}")
-        self.words = bit_gen.random_raw
-        self.standard_normal = rng.standard_normal
-        self._half = state["uinteger"] if state["has_uint32"] else None
-
-    def integers(self, N: int, k: int) -> list[int]:
-        """``Generator.integers(0, N, k)``, as a list, for 2 <= N < 2**32."""
-        if not 2 <= N < 2**32:
-            raise ValueError(f"bound {N} outside [2, 2**32): numpy draws it another way")
-        reject = (2**32 - N) % N
-        out: list[int] = []
-        halves = [] if self._half is None else [self._half]
-        while len(out) < k:
-            if not halves:
-                # the fewest words that can finish, so no word is read ahead
-                words = self.words((k - len(out) + 1) // 2).tolist()
-                halves = [h for w in reversed(words) for h in (w >> 32, w & 0xFFFFFFFF)]
-            m = halves.pop() * N
-            if m & 0xFFFFFFFF >= reject:
-                out.append(m >> 32)
-        self._half = halves[0] if halves else None
-        return out
-
-
-def word_bound(rate: float) -> int:
-    """The least word w with ``(w >> 11) * 2**-53 >= rate``, for rate in [0, 1].
-
-    The unit m * 2**-53 and rate * 2**53 are exact, so the unit lies below
-    the rate exactly when m < ceil(rate * 2**53).
-    """
-    return math.ceil(rate * 2.0**53) << 11
-
-
-def _draw_matings(draws: WordDraws, cfg: GaConfig, dim: int):
-    """Every draw of one generation's matings, in `ga_search`'s stream order.
-
-    There is one mating per two non-elite slots, rounded up.  Returns the
-    tournament entrants as a (matings, 2, TOURNAMENT_SIZE) array, the
-    indices of the matings that cross over, their blend units as a
-    (crossings, 2, dim) array, each child's mutation mask as a
-    (2 * matings, dim) array, and the normals of the masked genes in row
-    order.  Only these arrays outlive the generation.
-    """
-    cross_below = word_bound(cfg.crossover_rate)
-    mutate_below = word_bound(cfg.mutation_rate)
+    dim = pop.shape[1]
     matings = (cfg.population - cfg.elitism + 1) // 2
-    picks: list[int] = []
-    crossed, blends, masks, normals = [], [], [], []
+    picks = np.empty((matings, 2 * TOURNAMENT_SIZE), dtype=np.int64)
+    crossed, units, masks, normals = [], [], [], []
     for i in range(matings):
-        picks += draws.integers(cfg.population, 2 * TOURNAMENT_SIZE)
-        if int(draws.words(1)[0]) < cross_below:
+        picks[i] = rng.integers(0, cfg.population, 2 * TOURNAMENT_SIZE)
+        if rng.random() < cfg.crossover_rate:
             crossed.append(i)
-            blends.append(draws.words(2 * dim))
+            units.append(rng.random(2 * dim))
         for _child in range(2):
-            mask = draws.words(dim) < mutate_below
-            masks.append(mask)
-            normals.append(draws.standard_normal(np.count_nonzero(mask)))
-    units = (np.array(blends, dtype=np.uint64).reshape(-1, 2, dim) >> 11) * 2.0**-53
-    return (
-        np.array(picks).reshape(matings, 2, TOURNAMENT_SIZE),
-        np.array(crossed, dtype=int),
-        units,
-        np.array(masks),
-        np.concatenate(normals),
-    )
+            masks.append(rng.random(dim) < cfg.mutation_rate)
+            normals.append(rng.standard_normal(np.count_nonzero(masks[-1])))
 
-
-def _next_population(pop: np.ndarray, fit: np.ndarray, drawn, cfg: GaConfig) -> np.ndarray:
-    """The elites of ``pop`` and then the children of one generation's draws.
-
-    Each step is the per-mating one done for all matings at once, in the
-    same floating-point operations, so every child is bit for bit the one
-    the calls in `ga_search`'s docstring give.
-    """
-    picks, crossed, units, masks, normals = drawn
+    picks = picks.reshape(matings, 2, TOURNAMENT_SIZE)
     # min(picks, key=fit.__getitem__): a later entrant wins only on a
     # strictly lower fitness, so the first least one wins, NaN or not
     win = picks[..., 0]
     for j in range(1, TOURNAMENT_SIZE):
         win = np.where(fit[picks[..., j]] < fit[win], picks[..., j], win)
     kids = pop[win]
+    crossed = np.array(crossed, dtype=int)
     pa, pb = kids[crossed, 0], kids[crossed, 1]
     lo, hi = np.minimum(pa, pb), np.maximum(pa, pb)
     # an overflowing span is judged by the check below, not warned about
@@ -474,14 +389,21 @@ def _next_population(pop: np.ndarray, fit: np.ndarray, drawn, cfg: GaConfig) -> 
         low = lo - BLEND_ALPHA * d
         span = (hi + BLEND_ALPHA * d) - low
     if not np.all(np.isfinite(span)):
-        raise OverflowError("Range exceeds valid bounds")  # as rng.uniform raises it
+        # ends in the words rng.uniform raises on such a span
+        raise OverflowError("init_range is too wide: the search overflowed (Range exceeds valid bounds)")
     # rng.uniform(low, high) draws low + (high - low) * unit
-    kids[crossed] = low[:, None] + span[:, None] * units
-    kids = kids.reshape(len(masks), -1)
+    kids[crossed] = low[:, None] + span[:, None] * np.reshape(units, (-1, 2, dim))
+    kids = kids.reshape(2 * matings, dim)
     r, c = np.nonzero(masks)
-    kids[r, c] *= np.exp(cfg.mutation_scale * normals)
+    # as with the span, an overflowing gene is judged below; only kept
+    # children are, since the dropped odd one never reaches the objective
+    with np.errstate(over="ignore", invalid="ignore"):
+        kids[r, c] *= np.exp(cfg.mutation_scale * np.concatenate(normals))
+    kids = kids[: cfg.population - cfg.elitism]
+    if not np.all(np.isfinite(kids)):
+        raise OverflowError("mutation_scale is too large: a mutated gene overflowed")
     elites = pop[np.argsort(fit)[: cfg.elitism]]
-    return np.concatenate([elites, kids[: cfg.population - cfg.elitism]])
+    return np.concatenate([elites, kids])
 
 
 @dataclass(frozen=True)

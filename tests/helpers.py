@@ -290,7 +290,7 @@ def peak_gain(tf: RationalTF) -> tuple[float, float]:
 def reference_ga_search(obj_cfg, ga_cfg, n: int) -> SynthesisResult:
     """`synth.ga_search` as one loop over the matings, each drawing from the generator itself.
 
-    The reference that `ga_search`'s draw and array passes must match bit
+    The reference that `ga_search`'s array-built generations must match bit
     for bit: one RNG stream consumed in a fixed order (parents, crossover,
     mutation, in that order within each mating; `reference_generation`).
     """

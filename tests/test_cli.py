@@ -235,6 +235,21 @@ class TestSynthesize:
             assert err.count("\n") == 1
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_mutation(self, capsys, tmp_path):
+        # the first generation's kept child has a gene mutated past the largest double
+        flags = ["--population", "2", "--elitism", "1", "--generations", "2"]
+        flags += ["--mutation-rate", "1", "--mutation-scale", "1e3"]
+        rc, _, err = run(capsys, "synthesize", "--n", "1", *flags, "--out", str(tmp_path))
+        assert rc == 2
+        assert err == "error: mutation_scale is too large: a mutated gene overflowed\n"
+        # a later blend's overflow keeps its own message
+        flags = ["--population", "6", "--generations", "10", "--crossover-rate", "1"]
+        flags += ["--init-range", " -4e307", "4e307"]
+        rc, _, err = run(capsys, "synthesize", "--n", "1", *flags, "--out", str(tmp_path))
+        assert err == "error: init_range is too wide: the search overflowed (Range exceeds valid bounds)\n"
+        assert not any(tmp_path.iterdir())
+
 
 # ---------------------------------------------------------------------------
 # response emitters
