@@ -390,7 +390,9 @@ def _next_population(
         span = (hi + BLEND_ALPHA * d) - low
     if not np.all(np.isfinite(span)):
         # ends in the words rng.uniform raises on such a span
-        raise OverflowError("init_range is too wide: the search overflowed (Range exceeds valid bounds)")
+        raise OverflowError(
+            "init_range is too wide: the search overflowed (Range exceeds valid bounds)"
+        )
     # rng.uniform(low, high) draws low + (high - low) * unit
     kids[crossed] = low[:, None] + span[:, None] * np.reshape(units, (-1, 2, dim))
     kids = kids.reshape(2 * matings, dim)
