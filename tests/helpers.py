@@ -11,6 +11,7 @@ from pfclab.plant import PendulumParams, nonlinear_derivatives
 from pfclab.poly import CONJUGATE_TOL, Polynomial
 from pfclab.sim import (
     DIVERGENCE_BOUND,
+    NoiseSpec,
     TimeSeries,
     TrajectoryDiverged,
     _fastest_pole,
@@ -27,7 +28,7 @@ from pfclab.synth import (
     decode,
     objective_batch,
 )
-from pfclab.tf import RationalTF
+from pfclab.tf import NoiseChannelSet, RationalTF
 
 
 def stable_root(re_max=-0.05):
@@ -429,3 +430,44 @@ def reference_linear_closed_loop(
     phi, gamma = _rk4_maps(A, B, dt)
     drive = gamma[:, 0] * x_ref_step
     return _reference_run_loop(lambda z: phi @ z + drive, A.shape[0], theta0, t)
+
+
+def reference_noise_time_response(
+    channels: NoiseChannelSet, spec: NoiseSpec, t_grid
+) -> list[TimeSeries]:
+    """`sim.noise_time_response` as a sine table per channel, refilled in blocks of sines."""
+    if not channels.common_den.is_hurwitz():
+        raise ValueError("noise response undefined for unstable channel")
+    t = np.asarray(t_grid, dtype=float)
+    rng = np.random.default_rng(spec.seed)
+    lo, hi = spec.freq_interval
+    omega = rng.uniform(lo, hi, size=spec.N)
+    c = np.abs(rng.standard_normal(spec.N))
+    norm = float(np.linalg.norm(c))
+    c = c * (spec.amp_norm / norm) if norm > 0.0 else np.zeros_like(c)
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=spec.N)
+
+    s = 1j * omega
+    block = max(1, min(spec.N, int(2_000_000 / max(1, t.size))))  # bound the outer-product size
+    buf = np.empty(t.size * block)  # one (t.size, block) sine table, refilled per block
+    out = []
+    sums: dict = {}
+    for ch in channels.channels:
+        if ch in sums:  # equal channels (e5 is e4) share one sine sum
+            out.append(TimeSeries(t=t, y=sums[ch].copy()))
+            continue
+        gain = ch(s)
+        amp = c * np.abs(gain)
+        psi = np.angle(gain) + phase
+        y = np.zeros_like(t)
+        for start in range(0, spec.N, block):
+            sl = slice(start, min(start + block, spec.N))
+            # a contiguous (t.size, width) table, as np.outer gave: BLAS may
+            # round the matrix product otherwise on a strided one
+            arg = buf[: t.size * (sl.stop - start)].reshape(t.size, sl.stop - start)
+            np.multiply.outer(t, omega[sl], out=arg)
+            arg += psi[sl]
+            y += np.sin(arg, out=arg) @ amp[sl]
+        sums[ch] = y
+        out.append(TimeSeries(t=t, y=y))
+    return out

@@ -621,10 +621,12 @@ REPRODUCE_FILES = [
 
 # SHA-256 over every artifact of `reproduce_all.py --skip-search` (metadata
 # parsed, timestamp dropped) and the script's stdout with the output root
-# removed; recorded before the CLI's output path was rewritten (Python
-# 3.11.7, numpy 2.4.6 with its bundled OpenBLAS); another LAPACK build may
-# round the pole clouds otherwise.
-REPRODUCE_SHA256 = "91e145f1aa1b5231033610d01648ac6c9c0bfb221786a6385b0496a8931a6023"
+# removed (Python 3.11.7, numpy 2.4.6 with its bundled OpenBLAS, the same
+# with OPENBLAS_NUM_THREADS=1 and 2); another LAPACK build may round the pole
+# clouds otherwise.  Re-recorded when the noise response became a factored
+# complex product: only noise_b/noise.csv changed, each cell within 1.7e-14
+# of the sine-table sum, the time column and the other 23 files unchanged.
+REPRODUCE_SHA256 = "c201ec07c6bab23e5bd92a6087bcd61d0f38e9d0ae606123daed112336407d4d"
 
 
 def test_reproduce_artifacts_pinned(tmp_path):

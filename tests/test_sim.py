@@ -29,6 +29,7 @@ from helpers import (
     array_digest,
     expand_conjugates,
     reference_linear_closed_loop,
+    reference_noise_time_response,
     reference_nonlinear_closed_loop,
     reference_step_response,
     rightmost_real_part,
@@ -501,6 +502,37 @@ class TestNoiseTimeResponse:
         out = noise_time_response(CHANNELS_B, spec, t)
         peak = np.max(np.abs(out[1].y))
         assert 0.05 < peak < 1.0
+
+    @pytest.mark.parametrize(
+        "spec, t",
+        [
+            (NoiseSpec(), np.arange(0.0, 200.0, 0.05)),  # the CLI defaults
+            (NoiseSpec(N=300, seed=7), np.arange(12.5, 60.0, 0.02)),  # t_0 != 0
+            (NoiseSpec(N=50, seed=1), np.array([2.5])),
+            (NoiseSpec(N=50, seed=1), np.array([2.5, 2.75])),
+            (NoiseSpec(N=200, seed=2), np.linspace(-3.0, 30.0, 1000)),  # B = 32 leaves 8 over
+            (NoiseSpec(N=200, seed=2), np.linspace(0.0, 10.0, 900)),  # B = Q = 30
+        ],
+    )
+    def test_matches_sine_table_reference(self, spec, t):
+        got = noise_time_response(CHANNELS_B, spec, t)
+        want = reference_noise_time_response(CHANNELS_B, spec, t)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.t, b.t)
+            np.testing.assert_allclose(a.y, b.y, rtol=0.0, atol=1e-12)
+
+    def test_non_uniform_grid_rejected(self):
+        with pytest.raises(ValueError, match="uniform time grid"):
+            noise_time_response(CHANNELS_B, NoiseSpec(N=4), [0.0, 1.0, 3.0])
+        with pytest.raises(ValueError, match="uniform time grid"):
+            noise_time_response(CHANNELS_B, NoiseSpec(N=4), np.r_[np.linspace(0.0, 1.0, 11), 1.1 + 1e-9])
+        out = noise_time_response(CHANNELS_B, NoiseSpec(N=4), np.linspace(-1.0, 1.0, 201))
+        assert out[0].t.size == 201
+
+    def test_negated_channel_is_negated_bit_for_bit(self):
+        # noise_channels builds e6 as -1 * e1; the factored sum keeps the sign exact
+        out = noise_time_response(CHANNELS_B, NoiseSpec(seed=3), np.arange(0.0, 50.0, 0.05))
+        assert (-out[0].y).tobytes() == out[5].y.tobytes()
 
 
 class TestTimeSeriesIO:
