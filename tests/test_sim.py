@@ -510,7 +510,7 @@ class TestNoiseTimeResponse:
             (NoiseSpec(N=300, seed=7), np.arange(12.5, 60.0, 0.02)),  # t_0 != 0
             (NoiseSpec(N=50, seed=1), np.array([2.5])),
             (NoiseSpec(N=50, seed=1), np.array([2.5, 2.75])),
-            (NoiseSpec(N=200, seed=2), np.linspace(-3.0, 30.0, 1000)),  # B = 32 leaves 8 over
+            (NoiseSpec(N=200, seed=2), np.linspace(-3.0, 30.0, 1000)),  # B = 32, last block 8 long
             (NoiseSpec(N=200, seed=2), np.linspace(0.0, 10.0, 900)),  # B = Q = 30
         ],
     )
@@ -524,8 +524,9 @@ class TestNoiseTimeResponse:
     def test_non_uniform_grid_rejected(self):
         with pytest.raises(ValueError, match="uniform time grid"):
             noise_time_response(CHANNELS_B, NoiseSpec(N=4), [0.0, 1.0, 3.0])
+        late = np.r_[np.linspace(0.0, 1.0, 11), 1.1 + 1e-9]  # last step 1e-9 too long
         with pytest.raises(ValueError, match="uniform time grid"):
-            noise_time_response(CHANNELS_B, NoiseSpec(N=4), np.r_[np.linspace(0.0, 1.0, 11), 1.1 + 1e-9])
+            noise_time_response(CHANNELS_B, NoiseSpec(N=4), late)
         out = noise_time_response(CHANNELS_B, NoiseSpec(N=4), np.linspace(-1.0, 1.0, 201))
         assert out[0].t.size == 201
 
