@@ -23,12 +23,15 @@ from .plant import position_plant_rows
 from .plant import position_plant  # noqa: F401  (pfcbench/tracer.py patches this name here)
 from .synth import candidate_stacks, encode
 from .poly import roots_rows
+from .sim import write_csv
 from .tf import CompensatorPair, RationalTF, loop_rows, tf_rows
 from .tf import closed_loop  # noqa: F401  (pfcbench/tracer.py patches this name here)
 
 GRID_POINTS = 1000
 GRID_W_MIN = 1e-2
 GRID_W_MAX = 1e2
+# one pole of McReport.to_json: [trial, re, im] at json.dumps(indent=2)'s depth
+_JSON_POLE = "    [\n      %d,\n      %r,\n      %r\n    ],\n"
 
 
 @dataclass(frozen=True)
@@ -50,7 +53,7 @@ class BodeCurve:
         mg = tuple(float(m) for m in self.mag_db)
         if len(om) != len(mg):
             raise ValueError("omega and mag_db must have equal length")
-        if any(b <= a for a, b in zip(om, om[1:])):
+        if not all(map(math.isfinite, om)) or any(b <= a for a, b in zip(om, om[1:])):
             raise ValueError("omega grid must be strictly increasing")
         ph = self.phase_deg
         if ph is not None:
@@ -62,10 +65,7 @@ class BodeCurve:
         object.__setattr__(self, "phase_deg", ph)
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("omega,mag_db\n")
-            for w, m in zip(self.omega, self.mag_db):
-                fh.write(f"{w:.17g},{m:.17g}\n")
+        write_csv(path, "omega,mag_db", "%.17g,%.17g", list(zip(self.omega, self.mag_db)))
 
 
 def bode(
@@ -95,14 +95,11 @@ def bode(
     # relative grid step; a pole at sigma + i*w with |sigma| below one step
     # of |w| makes the sampled curve spike without ever hitting infinity
     step = (w_max / w_min) ** (1.0 / (n_points - 1)) - 1.0
-    flagged = False
-    for p in tf.poles():
-        w = abs(p.imag)
-        if w_min * (1.0 - step) <= w <= w_max * (1.0 + step) and abs(
-            p.real
-        ) <= step * max(w, w_min):
-            flagged = True
-            break
+    flagged = any(
+        w_min * (1.0 - step) <= abs(p.imag) <= w_max * (1.0 + step)
+        and abs(p.real) <= step * max(abs(p.imag), w_min)
+        for p in tf.poles()
+    )
     return BodeCurve(
         omega=tuple(omega),
         mag_db=tuple(mag_db),
@@ -134,25 +131,30 @@ class McReport:
         if self.unstable_count > self.trials:
             raise ValueError("unstable_count cannot exceed trials")
 
+    def _head(self) -> dict:
+        return {k: getattr(self, k) for k in ("trials", "unstable_count", "seed", "sigma")}
+
     def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "unstable_count": self.unstable_count,
-            "seed": self.seed,
-            "sigma": self.sigma,
-            "pole_cloud": [
-                [t, z.real, z.imag] for t, z in self.pole_cloud
-            ],
-        }
+        return {**self._head(), "pole_cloud": [[t, z.real, z.imag] for t, z in self.pole_cloud]}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        """json.dumps(self.to_json_dict(), indent=2), the cloud as one %-format."""
+        text = json.dumps({**self._head(), "pole_cloud": []}, indent=2)
+        if not self.pole_cloud:
+            return text
+        rows = self._cloud_rows()
+        body = (_JSON_POLE * len(rows)) % tuple(rows.ravel().tolist())
+        # json spells the non-finite floats NaN, Infinity and -Infinity
+        body = body.replace("nan", "NaN").replace("inf", "Infinity")
+        return text[: -len("[]\n}")] + "[\n" + body[: -len(",\n")] + "\n  ]\n}"
 
     def cloud_to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("trial,re,im\n")
-            for t, z in self.pole_cloud:
-                fh.write(f"{t},{z.real:.17g},{z.imag:.17g}\n")
+        write_csv(path, "trial,re,im", "%d,%.17g,%.17g", self._cloud_rows())
+
+    def _cloud_rows(self) -> np.ndarray:
+        """The cloud as rows (trial, re, im)."""
+        a = np.array(self.pole_cloud, dtype=complex).reshape(-1, 2)
+        return np.column_stack([a[:, 0].real, a[:, 1].real, a[:, 1].imag])
 
 
 def _draws(per_trial: int, trials: int, sigma: float, seed: int) -> np.ndarray:

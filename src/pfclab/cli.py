@@ -41,7 +41,7 @@ from .modern import (
 )
 from .plant import PendulumParams, angle_plant, linear_plant, position_plant
 from .poly import Polynomial
-from .sim import NoiseSpec, angle_step_response, noise_time_response, step_response
+from .sim import NoiseSpec, angle_step_response, noise_time_response, step_response, write_csv
 from .synth import GaConfig, ObjectiveConfig, ga_search, verify_pair
 from .tf import CompensatorPair, RationalTF, closed_loop, loop_denominator
 from .tf import noise_channels, pip_check
@@ -160,11 +160,7 @@ def _matrix_str(m: np.ndarray) -> str:
 def cmd_verify(args, G: RationalTF, pair: CompensatorPair | None) -> int:
     """audit a compensator pair against a plant; writes no files"""
     verdict = pip_check(G)
-    word = (
-        "strongly stabilizable"
-        if verdict.strongly_stabilizable
-        else "not strongly stabilizable"
-    )
+    word = ("" if verdict.strongly_stabilizable else "not ") + "strongly stabilizable"
     print(f"plant {args.plant}: {word}")
     for z, count in verdict.checks:
         where = "infinity" if z == float("inf") else f"{z:g}"
@@ -263,14 +259,13 @@ def cmd_noise(args, G: RationalTF, pair: CompensatorPair) -> int:
     t = np.arange(0.0, args.t_end, args.dt)
     series = noise_time_response(chans, spec, t)
     table = np.column_stack([t] + [s.y for s in series])
+    fmt = ",".join(["%.17g"] * table.shape[1])
     peaks = ", ".join(f"e{k}={np.abs(s.y).max():.4g}" for k, s in enumerate(series, 1))
     return _emit(
         args,
         ("plant", "pair", "sines", "amp", "freq_interval", "t_end", "dt"),
         {
-            "noise.csv": lambda p: np.savetxt(
-                p, table, fmt="%.17g", delimiter=",", header="t,e1,e2,e3,e4,e5,e6", comments=""
-            )
+            "noise.csv": lambda p: write_csv(p, "t,e1,e2,e3,e4,e5,e6", fmt, table)
         },
         f"per-channel peak |y|: {peaks}",
         pair=pair.label,
@@ -314,10 +309,7 @@ def cmd_modern(args, G: RationalTF, _pair) -> int:
     for name, eq in (("K_b", equivalent_Kb(Q, G)), ("K_f", equivalent_Kf(Q, G))):
         print(f"equivalent single-loop compensator {name}:")
         print(f"  reduced: {eq.reduced}")
-        flags = [
-            "proper" if eq.proper else "improper",
-            "stable" if eq.stable else "unstable",
-        ]
+        flags = ["proper" if eq.proper else "improper", "stable" if eq.stable else "unstable"]
         if eq.plant_cancellations:
             flags.append(
                 "cancels plant factors at "

@@ -43,6 +43,8 @@ REFINED_DT = 1e-4
 DIVERGENCE_BOUND = 1e6
 # states stepped between two flushes; the ring holds one more row, the carry
 CHUNK = 512
+# CSV rows formatted per write by write_csv
+CSV_BLOCK = 4096
 
 
 class TrajectoryDiverged(RuntimeError):
@@ -63,18 +65,22 @@ class TimeSeries:
         self.y = np.asarray(self.y, dtype=float)
         if self.t.shape != self.y.shape or self.t.ndim != 1:
             raise ValueError("t and y must be 1-D arrays of equal length")
-        if np.any(np.diff(self.t) <= 0.0):
+        if not (np.isfinite(self.t).all() and np.all(np.diff(self.t) > 0.0)):
             raise ValueError("time grid must be strictly increasing")
 
     def to_csv(self, path) -> None:
-        np.savetxt(
-            path,
-            np.column_stack([self.t, self.y]),
-            delimiter=",",
-            header="t,y",
-            comments="",
-            fmt="%.17g",
-        )
+        write_csv(path, "t,y", "%.17g,%.17g", np.column_stack([self.t, self.y]))
+
+
+def write_csv(path, header: str, fmt: str, rows) -> None:
+    """The header line, then ``fmt % row`` per row: np.savetxt's bytes, formatted
+    CSV_BLOCK rows at a time in one %-format of the block's values."""
+    rows = np.asarray(rows, dtype=float)
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, len(rows), CSV_BLOCK):
+            block = rows[lo : lo + CSV_BLOCK]
+            fh.write(((fmt + "\n") * len(block)) % tuple(block.ravel().tolist()))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .poly import monic_is_finite, roots_rows, roots_stack
+from .sim import write_csv
 from .tf import CompensatorPair, RationalTF, loop_denominator, loop_rows, tf_rows
 from .tf import closed_loop  # noqa: F401  (pfcbench/tracer.py patches this name here)
 
@@ -283,10 +284,7 @@ class SynthesisResult:
         return json.dumps(self.to_json_dict(), indent=2)
 
     def history_to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("generation,best_F\n")
-            for g, F in enumerate(self.history):
-                fh.write(f"{g},{F:.17g}\n")
+        write_csv(path, "generation,best_F", "%d,%.17g", list(enumerate(self.history)))
 
 
 def ga_search(

@@ -1,6 +1,7 @@
 """Shared strategies, comparison helpers and reference functions for the test suite."""
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -471,3 +472,39 @@ def reference_noise_time_response(
         sums[ch] = y
         out.append(TimeSeries(t=t, y=y))
     return out
+
+
+# ---------------------------------------------------------------------------
+# artifact writers, one Python call per row, as sim.write_csv replaced them
+# ---------------------------------------------------------------------------
+
+
+def reference_savetxt(path, header: str, rows) -> None:
+    """`TimeSeries.to_csv` and `noise.csv` as np.savetxt wrote them."""
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=header, comments="")
+
+
+def reference_bode_csv(curve, path) -> None:
+    with open(path, "w") as fh:
+        fh.write("omega,mag_db\n")
+        for w, m in zip(curve.omega, curve.mag_db):
+            fh.write(f"{w:.17g},{m:.17g}\n")
+
+
+def reference_history_csv(res: SynthesisResult, path) -> None:
+    with open(path, "w") as fh:
+        fh.write("generation,best_F\n")
+        for g, F in enumerate(res.history):
+            fh.write(f"{g},{F:.17g}\n")
+
+
+def reference_cloud_csv(rep, path) -> None:
+    with open(path, "w") as fh:
+        fh.write("trial,re,im\n")
+        for t, z in rep.pole_cloud:
+            fh.write(f"{t},{z.real:.17g},{z.imag:.17g}\n")
+
+
+def reference_mc_json(rep) -> str:
+    """`McReport.to_json` through json's own indent=2 encoder."""
+    return json.dumps(rep.to_json_dict(), indent=2)

@@ -84,6 +84,11 @@ class TestBode:
         with pytest.raises(ValueError, match="phase"):
             BodeCurve((1.0, 2.0), (0.0, 0.0), phase_deg=(0.0,))
 
+    @pytest.mark.parametrize("omega", [(1.0, math.nan, 3.0), (math.nan,), (1.0, 2.0, math.inf)])
+    def test_curve_rejects_non_finite_omega(self, omega):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            BodeCurve(omega, (1.0,) * len(omega))
+
     def test_csv_roundtrip(self, tmp_path):
         curve = bode(LAG, 0.1, 10.0, 20)
         path = tmp_path / "curve.csv"

@@ -554,6 +554,14 @@ class TestTimeSeriesIO:
         with pytest.raises(ValueError, match="equal length"):
             TimeSeries(t=[0.0, 1.0], y=[1.0])
 
+    @pytest.mark.parametrize(
+        "t", [[0.0, np.nan, 2.0], [np.nan], [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0]]
+    )
+    def test_rejects_non_finite_time(self, t):
+        # NaN compares False both ways, so a difference test alone lets it through
+        with pytest.raises(ValueError, match="strictly increasing"):
+            TimeSeries(t=t, y=np.ones(len(t)))
+
 
 class TestNoiseSpecValidation:
     def test_defaults(self):
