@@ -23,7 +23,7 @@ from .plant import position_plant_rows
 from .plant import position_plant  # noqa: F401  (pfcbench/tracer.py patches this name here)
 from .synth import candidate_stacks, encode
 from .poly import roots_rows
-from .sim import write_csv
+from .sim import sampled, write_csv
 from .tf import CompensatorPair, RationalTF, loop_rows, tf_rows
 from .tf import closed_loop  # noqa: F401  (pfcbench/tracer.py patches this name here)
 
@@ -34,7 +34,7 @@ GRID_W_MAX = 1e2
 _JSON_POLE = "    [\n      %d,\n      %r,\n      %r\n    ],\n"
 
 
-@dataclass(frozen=True)
+@dataclass
 class BodeCurve:
     """Magnitude (and optionally phase) samples on a log frequency grid.
 
@@ -43,29 +43,18 @@ class BodeCurve:
     magnitudes spike; values are reported as computed either way.
     """
 
-    omega: tuple[float, ...]
-    mag_db: tuple[float, ...]
-    phase_deg: tuple[float, ...] | None = None
+    omega: np.ndarray
+    mag_db: np.ndarray
+    phase_deg: np.ndarray | None = None
     near_axis_pole: bool = False
 
     def __post_init__(self):
-        om = tuple(float(w) for w in self.omega)
-        mg = tuple(float(m) for m in self.mag_db)
-        if len(om) != len(mg):
-            raise ValueError("omega and mag_db must have equal length")
-        if not all(map(math.isfinite, om)) or any(b <= a for a, b in zip(om, om[1:])):
-            raise ValueError("omega grid must be strictly increasing")
-        ph = self.phase_deg
-        if ph is not None:
-            ph = tuple(float(p) for p in ph)
-            if len(ph) != len(om):
-                raise ValueError("phase_deg length must match omega")
-        object.__setattr__(self, "omega", om)
-        object.__setattr__(self, "mag_db", mg)
-        object.__setattr__(self, "phase_deg", ph)
+        self.omega, self.mag_db, self.phase_deg = sampled(
+            "omega", self.omega, mag_db=self.mag_db, phase_deg=self.phase_deg
+        )
 
     def to_csv(self, path) -> None:
-        write_csv(path, "omega,mag_db", "%.17g,%.17g", list(zip(self.omega, self.mag_db)))
+        write_csv(path, "omega,mag_db", "%.17g,%.17g", np.column_stack([self.omega, self.mag_db]))
 
 
 def bode(
@@ -100,12 +89,7 @@ def bode(
         and abs(p.real) <= step * max(abs(p.imag), w_min)
         for p in tf.poles()
     )
-    return BodeCurve(
-        omega=tuple(omega),
-        mag_db=tuple(mag_db),
-        phase_deg=tuple(phase),
-        near_axis_pole=flagged,
-    )
+    return BodeCurve(omega, mag_db, phase, near_axis_pole=flagged)
 
 
 # ---------------------------------------------------------------------------
@@ -131,15 +115,11 @@ class McReport:
         if self.unstable_count > self.trials:
             raise ValueError("unstable_count cannot exceed trials")
 
-    def _head(self) -> dict:
-        return {k: getattr(self, k) for k in ("trials", "unstable_count", "seed", "sigma")}
-
-    def to_json_dict(self) -> dict:
-        return {**self._head(), "pole_cloud": [[t, z.real, z.imag] for t, z in self.pole_cloud]}
-
     def to_json(self) -> str:
-        """json.dumps(self.to_json_dict(), indent=2), the cloud as one %-format."""
-        text = json.dumps({**self._head(), "pole_cloud": []}, indent=2)
+        """What json.dumps(indent=2) writes of the report, each pole a
+        [trial, re, im] list; the cloud is formatted as one %-format."""
+        head = {k: getattr(self, k) for k in ("trials", "unstable_count", "seed", "sigma")}
+        text = json.dumps({**head, "pole_cloud": []}, indent=2)
         if not self.pole_cloud:
             return text
         rows = self._cloud_rows()

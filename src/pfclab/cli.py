@@ -233,7 +233,7 @@ def cmd_angle(args, G: RationalTF, pair: CompensatorPair) -> int:
 
 
 def cmd_bode(args, G: RationalTF, pair: CompensatorPair | None) -> int:
-    """magnitude/phase samples to CSV"""
+    """magnitude samples to CSV"""
     if args.channel == "plant":
         tf = G
     elif args.channel == "h":

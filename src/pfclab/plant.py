@@ -73,8 +73,7 @@ def position_plant_rows(factors, M: float = 0.3) -> tuple[np.ndarray, np.ndarray
     are multiplicative perturbations of the plant coefficients, each 1 in
     the nominal plant.
     """
-    if M <= 0.0:
-        raise ValueError("cart mass must be strictly positive")
+    M = PendulumParams(M=M).M
     A0, A1, A2, A3 = np.asarray(factors, dtype=float).T
     zero = np.zeros(len(A0))
     num = np.column_stack([-A1, zero, A0])
@@ -84,8 +83,7 @@ def position_plant_rows(factors, M: float = 0.3) -> tuple[np.ndarray, np.ndarray
 
 def angle_plant(M: float = 0.3) -> RationalTF:
     """Force-to-pendulum-angle transfer function: 1 / ((1+M) - M*s^2)."""
-    if M <= 0.0:
-        raise ValueError("cart mass must be strictly positive")
+    M = PendulumParams(M=M).M
     return RationalTF((1.0,), (1.0 + M, 0.0, -M))
 
 

@@ -21,10 +21,7 @@ The multi-sine noise response needs a grid uniform to 1e-12 max|t| and is
 a factored complex sum.  With B = ceil(sqrt(T)), sample qB + r of channel
 k is Im sum_i U[q,i] V[i,r] W[i,k] for U = exp(i w (t[qB] - t[0])), V =
 exp(i w t[r]) and W = c g_k(iw) exp(i phase): two tables of about T N / B
-entries and one matrix product per distinct channel.  At the CLI defaults
-(4000 sines and samples) a call takes 0.035 s against 1.45 s for a sine
-table per channel, and pfcbench's reproduce reads 9.5 against 3.9
-commands/s (BENCH_21.json; 2-vCPU Xeon VM, numpy 2.4 with OpenBLAS).
+entries and one matrix product per distinct channel.
 """
 
 from __future__ import annotations
@@ -61,15 +58,29 @@ class TimeSeries:
     y: np.ndarray
 
     def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=float)
-        self.y = np.asarray(self.y, dtype=float)
-        if self.t.shape != self.y.shape or self.t.ndim != 1:
-            raise ValueError("t and y must be 1-D arrays of equal length")
-        if not (np.isfinite(self.t).all() and np.all(np.diff(self.t) > 0.0)):
-            raise ValueError("time grid must be strictly increasing")
+        self.t, self.y = sampled("t", self.t, y=self.y)
 
     def to_csv(self, path) -> None:
         write_csv(path, "t,y", "%.17g,%.17g", np.column_stack([self.t, self.y]))
+
+
+def sampled(grid_name: str, grid, **curves) -> list:
+    """``grid`` and each curve as float arrays, a None curve staying None.
+
+    ValueError unless the grid is 1-D, finite and strictly increasing and
+    every curve has its length.
+    """
+    grid = np.asarray(grid, dtype=float)
+    out = [grid]
+    for name, curve in curves.items():
+        if curve is not None:
+            curve = np.asarray(curve, dtype=float)
+            if curve.shape != grid.shape or grid.ndim != 1:
+                raise ValueError(f"{grid_name} and {name} must be 1-D arrays of equal length")
+        out.append(curve)
+    if not (np.isfinite(grid).all() and np.all(np.diff(grid) > 0.0)):
+        raise ValueError(f"{grid_name} grid must be strictly increasing")
+    return out
 
 
 def write_csv(path, header: str, fmt: str, rows) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -241,16 +241,7 @@ class GaConfig:
             raise ValueError("seed must be nonnegative")
 
     def to_json_dict(self) -> dict:
-        return {
-            "population": self.population,
-            "generations": self.generations,
-            "crossover_rate": self.crossover_rate,
-            "mutation_rate": self.mutation_rate,
-            "mutation_scale": self.mutation_scale,
-            "elitism": self.elitism,
-            "init_range": list(self.init_range),
-            "seed": self.seed,
-        }
+        return {**asdict(self), "init_range": list(self.init_range)}
 
 
 @dataclass(frozen=True)

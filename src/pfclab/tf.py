@@ -23,9 +23,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .poly import Polynomial, trimmed_lengths
 
-# How far left of the axis a real root still counts as closed-RHP in `pip_check`.
-PIP_TOL = 1e-7
-
 # numpy's correlate sums the full-overlap outputs of `np.convolve` in a plain
 # C loop for kernels up to this length, and in its dot function beyond it.
 SMALL_KERNEL = 11
@@ -229,47 +226,38 @@ def loop_rows(G, C, P) -> np.ndarray:
     # callers refuse such a row as non-finite, so nothing need warn
     with np.errstate(over="ignore", invalid="ignore"):
         # ((0.0 + t1) + t2) + t3: the 0.0 folds -0.0 as Polynomial does
-        for prod in (
-            _product(_product(dc, dg), dp, trim=False),
-            _product(_product(nc, npp), dg, trim=False),
-            _product(_product(nc, ng), dp, trim=False),
+        for prod, _ in (
+            _product(_product(dc, dg), dp),
+            _product(_product(nc, npp), dg),
+            _product(_product(nc, ng), dp),
         ):
             den[:, : prod.shape[1]] += prod
     return den
 
 
-def _product(a, b, trim: bool = True):
+def _product(a, b):
     """Row products of the trimmed stacks ``a`` and ``b``, trimmed again.
 
     A trimmed stack is a pair (rows, lengths), row r holding the polynomial
     ``rows[r, :lengths[r]]``; a stack of one row serves every row of the
-    other.  The rows of one pair of lengths take one `_convolve` call, and
-    when all rows share one pair, that call's rows are the product stack.
-    A product of trimmed rows of lengths m and k has length m + k - 1: its
+    other.  The rows of one pair of lengths take one `_convolve` call.  A
+    product of trimmed rows of lengths m and k has length m + k - 1: its
     last entry is the product of the two leading coefficients, zero only on
     an underflow or a zero operand, and only then is the product stack
-    trimmed as `Polynomial.__mul__` trims it.  With ``trim=False`` the
-    product rows come back alone, zero-padded and untrimmed.
+    trimmed as `Polynomial.__mul__` trims it.
     """
     (x, lx), (y, ly) = a, b
     key = lx * (y.shape[1] + 1) + ly  # one key per pair of lengths
-    groups = set(key.tolist())
-    if len(groups) == 1:
-        m, k = divmod(*groups, y.shape[1] + 1)
-        out = _convolve(x[:, :m], y[:, :k])
-    else:
-        out = np.zeros((len(key), x.shape[1] + y.shape[1] - 1))
-        for g in groups:
-            at = np.flatnonzero(key == g)
-            m, k = divmod(g, y.shape[1] + 1)
-            out[at, : m + k - 1] = _convolve(
-                x[:, :m] if len(x) == 1 else x[at, :m],
-                y[:, :k] if len(y) == 1 else y[at, :k],
-            )
-    if not trim:
-        return out
+    out = np.zeros((len(key), x.shape[1] + y.shape[1] - 1))
+    for g in set(key.tolist()):
+        at = np.flatnonzero(key == g)
+        m, k = divmod(g, y.shape[1] + 1)
+        out[at, : m + k - 1] = _convolve(
+            x[:, :m] if len(x) == 1 else x[at, :m],
+            y[:, :k] if len(y) == 1 else y[at, :k],
+        )
     lengths = lx + ly - 1
-    lead = out[:, -1] if len(groups) == 1 else out[np.arange(len(out)), lengths - 1]
+    lead = out[np.arange(len(out)), lengths - 1]
     return out, lengths if lead.all() else trimmed_lengths(out)
 
 
@@ -364,8 +352,8 @@ def pip_check(G: RationalTF) -> StabilizabilityVerdict:
 
     def real_closed_rhp(arr: np.ndarray) -> list[float]:
         # roots come from `roots_stack`, whose `_snap_real` has already put
-        # every near-real root exactly on the axis
-        return sorted(float(r.real) for r in arr if r.imag == 0.0 and r.real > -PIP_TOL)
+        # every near-real root exactly on the axis and a root at the origin at 0
+        return sorted(float(r.real) for r in arr if r.imag == 0.0 and r.real >= 0.0)
 
     zeros = real_closed_rhp(G.zeros())
     if G.is_strictly_proper:

@@ -507,4 +507,6 @@ def reference_cloud_csv(rep, path) -> None:
 
 def reference_mc_json(rep) -> str:
     """`McReport.to_json` through json's own indent=2 encoder."""
-    return json.dumps(rep.to_json_dict(), indent=2)
+    d = {k: getattr(rep, k) for k in ("trials", "unstable_count", "seed", "sigma")}
+    d["pole_cloud"] = [[t, z.real, z.imag] for t, z in rep.pole_cloud]
+    return json.dumps(d, indent=2)

@@ -1,5 +1,6 @@
 """Frequency response and Monte Carlo study layer."""
 
+import json
 import math
 
 import numpy as np
@@ -48,6 +49,11 @@ class TestBode:
         assert curve.omega[k] == pytest.approx(1.0, rel=1e-12)
         assert curve.mag_db[k] == pytest.approx(-10.0 * math.log10(2.0), abs=1e-9)
         assert curve.phase_deg[k] == pytest.approx(-45.0, abs=1e-9)
+
+    def test_returns_float_arrays(self):
+        curve = bode(LAG, 0.1, 10.0, 50)
+        for x in (curve.omega, curve.mag_db, curve.phase_deg):
+            assert isinstance(x, np.ndarray) and x.dtype == np.float64 and x.shape == (50,)
 
     def test_lengths_and_monotone_grid(self):
         curve = bode(LAG, 0.1, 10.0, 50)
@@ -379,7 +385,7 @@ class TestMcReport:
 
     def test_json_and_csv(self, tmp_path):
         rep = robustness_mc(PAIR_A.C, PAIR_A.P, trials=5, seed=7)
-        d = rep.to_json_dict()
+        d = json.loads(rep.to_json())
         assert d["trials"] == 5
         assert d["seed"] == 7
         assert d["sigma"] == 0.02

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pfclab.analysis import robustness_mc
+from pfclab.designs import PAIR_A
 from pfclab.plant import (
     PendulumParams,
     angle_plant,
@@ -61,6 +65,15 @@ class TestPositionPlant:
     def test_rejects_bad_mass(self):
         with pytest.raises(ValueError):
             position_plant(M=0.0)
+        # every plant builder checks M as PendulumParams does, NaN included
+        for build, message in [
+            (lambda: position_plant(M=math.nan), "M must be finite"),
+            (lambda: position_plant_rows([[1.0] * 4], M=math.inf), "M must be finite"),
+            (lambda: angle_plant(-1.0), "M must be strictly positive"),
+            (lambda: robustness_mc(PAIR_A.C, PAIR_A.P, M=math.nan), "M must be finite"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build()
 
     @given(M=st.floats(0.05, 5.0))
     def test_unstable_for_every_mass(self, M):

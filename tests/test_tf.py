@@ -279,6 +279,15 @@ def test_pip_zero_at_origin_counts():
     assert [(z, c) for z, c in v.checks if c % 2] == [(0.0, 1)]
 
 
+@pytest.mark.parametrize("z", [5e-8, 1e-20])
+def test_pip_left_half_plane_zero_near_origin_is_left_out(z):
+    # (s + z)/((s-2)(s+1)): the zero at -z is open-LHP however close to the
+    # origin, so infinity is the only closed-RHP zero and nothing interlaces
+    v = pip_check(RationalTF([z, 1.0], Polynomial.from_roots([2.0, -1.0])))
+    assert v.strongly_stabilizable
+    assert v.checks == ()
+
+
 def test_pip_near_real_zero_pair():
     # zeros 2 +- 1e-6j lie within CONJUGATE_TOL * (1 + |z|) of the axis, so
     # they count as two real zeros and enclose the pole at 3 with infinity;

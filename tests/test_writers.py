@@ -64,6 +64,14 @@ def test_bode_csv(tmp_path, n):
     assert same_bytes(tmp_path, curve.to_csv, lambda p: reference_bode_csv(curve, p))
 
 
+@pytest.mark.parametrize("n", SIZES)
+def test_bode_csv_of_arrays_is_that_of_tuples(tmp_path, n):
+    omega, mag_db = np.logspace(-2, 2, n), values(n, 5)
+    curve = BodeCurve(omega=omega, mag_db=mag_db)
+    of_tuples = BodeCurve(omega=tuple(omega), mag_db=tuple(mag_db))
+    assert same_bytes(tmp_path, curve.to_csv, lambda p: reference_bode_csv(of_tuples, p))
+
+
 SEARCH = ga_search(
     ObjectiveConfig(plant=RationalTF((1.0,), (1.0, -1.0))),
     GaConfig(population=10, generations=2, seed=0),
