@@ -616,6 +616,54 @@ def test_newton_lanes_give_each_row_its_own_bits(monkeypatch):
     assert fewer[3].tobytes() != polished[3].tobytes()
 
 
+def random_root_rows(rng, degree, count):
+    """``count`` real rows of one degree (ascending, random leading coefficient).
+
+    Their roots cycle through five kinds: all real, complex pairs, a tight
+    cluster, a repeated small integer and exact zeros at the origin.
+    """
+    rows = []
+    for k in range(count):
+        kind = k % 5
+        if kind == 0:
+            r = rng.uniform(-5.0, 2.0, degree)
+        elif kind == 1:
+            w = rng.uniform(-3.0, 1.0, degree // 2) + 1j * rng.uniform(0.1, 4.0, degree // 2)
+            r = np.concatenate([w, w.conj(), rng.uniform(-5.0, 2.0, degree % 2)])
+        elif kind == 2:
+            r = rng.uniform(-2.0, 1.0) + 1e-4 * rng.standard_normal(degree)
+        elif kind == 3:
+            r = rng.integers(-5, 3, degree).astype(float)
+            r[1] = r[0]
+        else:
+            r = rng.uniform(-5.0, 2.0, degree)
+            r[: rng.integers(1, degree + 1)] = 0.0
+        rows.append(np.poly(r)[::-1].real * rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 3.0))
+    return np.array(rows)
+
+
+def test_polished_roots_match_the_scalar_oracle_row_by_row():
+    # every root of a random stack, polished in lanes, has the bits the
+    # scalar oracle gives it with its row polished alone; degree 4 spans
+    # more than one Newton block
+    from pfclab import poly
+    from pfclab.poly import _companions, _polished_roots
+
+    rng = np.random.default_rng(11)
+    origin = flat = 0
+    for degree in range(2, 11):
+        c = random_root_rows(rng, degree, poly.NEWTON_ROWS + 44 if degree == 4 else 40)
+        for row, z in zip(c, _polished_roots(c)):
+            monic = row / row[-1]
+            raw = np.linalg.eigvals(_companions(monic[None]))[0]
+            assert newton_polish(monic, raw, poly.NEWTON_STEPS).tobytes() == z.tobytes()
+            origin += np.count_nonzero(z == 0.0)
+            dp = np.polyder(monic[::-1])
+            flat += sum(1 for x in raw if x != 0.0 and np.polyval(dp, x) == 0.0)
+    # the stacks hold exact zeros and double roots where p' = 0 stops the lane
+    assert origin > 0 and flat > 0
+
+
 def test_roots_batch_errors_and_empty():
     roots, ok = roots_rows(np.zeros((0, 3)))
     assert roots == [] and ok.shape == (0,)
