@@ -3,7 +3,7 @@
 Drives the command line interface exactly as a user would, writing each
 command's CSV/JSON output into a subdirectory of --out.  On a 2-vCPU Xeon
 VM (Python 3.11, numpy 2.4) two runs each took 5.8-6.6 s with the search
-included (default) and 1.4-2.5 s with --skip-search.
+included (default), and runs with --skip-search took 0.8-1.2 s.
 
     python3 scripts/reproduce_all.py --out artifacts
 """

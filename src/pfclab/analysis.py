@@ -36,7 +36,7 @@ _JSON_POLE = "    [\n      %d,\n      %r,\n      %r\n    ],\n"
 
 @dataclass
 class BodeCurve:
-    """Magnitude (and optionally phase) samples on a log frequency grid.
+    """Magnitude samples on a log frequency grid.
 
     near_axis_pole marks curves whose transfer function has a pole close
     enough to the evaluated stretch of the imaginary axis that the sampled
@@ -45,13 +45,10 @@ class BodeCurve:
 
     omega: np.ndarray
     mag_db: np.ndarray
-    phase_deg: np.ndarray | None = None
     near_axis_pole: bool = False
 
     def __post_init__(self):
-        self.omega, self.mag_db, self.phase_deg = sampled(
-            "omega", self.omega, mag_db=self.mag_db, phase_deg=self.phase_deg
-        )
+        self.omega, self.mag_db = sampled("omega", self.omega, mag_db=self.mag_db)
 
     def to_csv(self, path) -> None:
         write_csv(path, "omega,mag_db", "%.17g,%.17g", np.column_stack([self.omega, self.mag_db]))
@@ -65,9 +62,8 @@ def bode(
 ) -> BodeCurve:
     """Sample 20*log10|tf(i*omega)| on a log-spaced grid.
 
-    Phase is the principal value in degrees, not unwrapped.  A pole within
-    one grid step of the evaluated axis segment sets near_axis_pole; the
-    curve itself is still the pointwise truth.
+    A pole within one grid step of the evaluated axis segment sets
+    near_axis_pole; the curve itself is still the pointwise truth.
     """
     if not w_min > 0.0:
         raise ValueError("w_min must be positive")
@@ -79,7 +75,6 @@ def bode(
     vals = tf(1j * omega)
     with np.errstate(divide="ignore"):
         mag_db = 20.0 * np.log10(np.abs(vals))
-    phase = np.degrees(np.angle(vals))
 
     # relative grid step; a pole at sigma + i*w with |sigma| below one step
     # of |w| makes the sampled curve spike without ever hitting infinity
@@ -89,7 +84,7 @@ def bode(
         and abs(p.real) <= step * max(abs(p.imag), w_min)
         for p in tf.poles()
     )
-    return BodeCurve(omega, mag_db, phase, near_axis_pole=flagged)
+    return BodeCurve(omega, mag_db, near_axis_pole=flagged)
 
 
 # ---------------------------------------------------------------------------

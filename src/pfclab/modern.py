@@ -50,13 +50,6 @@ def _match_distance(got, want) -> float:
     return worst
 
 
-def _rank(m: np.ndarray) -> int:
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > RANK_TOL * sv[0]))
-
-
 def _krylov(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Columns [v | A v | ... | A^(n-1) v] for an n x n matrix A."""
     cols = [v]
@@ -68,13 +61,13 @@ def _krylov(A: np.ndarray, v: np.ndarray) -> np.ndarray:
 def controllability_matrix(ss: StateSpace) -> RankedMatrix:
     """Columns [A^3 B | A^2 B | A B | B], highest power leftmost."""
     m = _krylov(ss.A, ss.B)[:, ::-1]
-    return RankedMatrix(matrix=m, rank=_rank(m))
+    return RankedMatrix(matrix=m, rank=np.linalg.matrix_rank(m, rtol=RANK_TOL))
 
 
 def observability_matrix(ss: StateSpace) -> RankedMatrix:
     """Rows [C A^3; C A^2; C A; C], highest power on top: the dual pair's Krylov columns."""
     m = _krylov(ss.A.T, ss.C.T)[:, ::-1].T
-    return RankedMatrix(matrix=m, rank=_rank(m))
+    return RankedMatrix(matrix=m, rank=np.linalg.matrix_rank(m, rtol=RANK_TOL))
 
 
 def place_poles(A: np.ndarray, B: np.ndarray, desired) -> np.ndarray:
@@ -91,7 +84,7 @@ def place_poles(A: np.ndarray, B: np.ndarray, desired) -> np.ndarray:
     phi = Polynomial.from_roots(desired)  # rejects non-conjugate-closed sets
 
     ctrl = _krylov(A, B)
-    if _rank(ctrl) < n:
+    if np.linalg.matrix_rank(ctrl, rtol=RANK_TOL) < n:
         raise ValueError("pair (A, B) is not controllable")
 
     # phi(A) by Horner; phi is monic of degree n

@@ -346,14 +346,13 @@ def _newton(c: np.ndarray, raw: np.ndarray) -> np.ndarray:
     """Newton refinement of each row's eigenvalues ``raw`` with an improvement guard.
 
     Each root takes Newton steps while its residual keeps dropping, at most
-    NEWTON_STEPS.  The arithmetic is the scalar complex arithmetic of
-    CPython spelled out on real and imaginary float64 arrays, so a row gets
-    the same bits alone or in any batch.  A row whose eigenvalues are all
-    real stays in real arithmetic, as a single eigenvalue call returns them.
-
-    The roots go into flat lanes, each with its row's index and real-row
-    flag.  A lane leaves for good once its step stops improving, so each
-    round steps only the roots still live.
+    NEWTON_STEPS.  The roots go into flat complex128 lanes, each with its
+    row's index and real-row flag, so a row gets the same bits alone or in
+    any batch: Horner rounds as CPython's complex arithmetic, and the step
+    is numpy's complex division.  A row whose eigenvalues are all real, as a
+    single eigenvalue call returns them, stays in real arithmetic.  A lane
+    leaves for good once its step stops improving, so each round steps only
+    the roots still live.
     """
     n = c.shape[1] - 1
     # highest degree first for Horner, one column per row; + 0.0 folds -0.0
@@ -362,33 +361,27 @@ def _newton(c: np.ndarray, raw: np.ndarray) -> np.ndarray:
     dc_hi = np.arange(n, 0, -1)[:, None] * c_hi[:n] + 0.0
     row = np.repeat(np.arange(len(c)), n)
     real = np.all(raw.imag == 0.0, axis=1)[row]
-    zr = raw.real.ravel()
-    zi = np.where(real, 0.0, raw.imag.ravel())
-    out_r, out_i = zr.copy(), zi.copy()
-    lane = np.arange(zr.size)
+    z = np.where(real, raw.real.ravel(), raw.ravel()).astype(complex)
+    out = z.copy()
+    lane = np.arange(z.size)
     # a lane is judged only after its step, so a step that divides by zero
     # or overflows is simply not kept
     with np.errstate(all="ignore"):
-        pr, pi = _horner(c_hi, row, zr, zi)
-        fr = np.hypot(pr, pi)
+        p = _horner(c_hi, row, z)
+        # |p| as CPython's abs computes it; numpy's complex abs rounds otherwise
+        f = np.hypot(p.real, p.imag)
         for _ in range(NEWTON_STEPS):
-            dr, di = _horner(dc_hi, row, zr, zi)
-            qr, qi = _cdiv(pr, pi, dr, di)
+            d = _horner(dc_hi, row, z)
             # real rows divide in real arithmetic, as Python floats would
-            cr = zr - np.where(real, pr / dr, qr)
-            ci = zi - np.where(real, 0.0, qi)
-            pcr, pci = _horner(c_hi, row, cr, ci)
-            fc = np.hypot(pcr, pci)
-            live = ((dr != 0.0) | (di != 0.0)) & np.isfinite(fc) & ~(fc >= fr)
-            lane, row, real, zr, zi, pr, pi, fr = (
-                x[live] for x in (lane, row, real, cr, ci, pcr, pci, fc)
-            )
+            cand = z - np.where(real, p.real / d.real, p / d)
+            pc = _horner(c_hi, row, cand)
+            fc = np.hypot(pc.real, pc.imag)
+            live = np.isfinite(fc) & ~(fc >= f)
+            lane, row, real, z, p, f = (x[live] for x in (lane, row, real, cand, pc, fc))
             if not lane.size:
                 break
-            out_r[lane], out_i[lane] = zr, zi
-    z = np.empty(raw.shape, dtype=complex)
-    z.real, z.imag = out_r.reshape(raw.shape), out_i.reshape(raw.shape)
-    return z
+            out[lane] = z
+    return out.reshape(raw.shape)
 
 
 def _companions(c: np.ndarray) -> np.ndarray:
@@ -400,20 +393,13 @@ def _companions(c: np.ndarray) -> np.ndarray:
     return comp
 
 
-def _horner(c_hi: np.ndarray, row: np.ndarray, zr: np.ndarray, zi: np.ndarray):
-    """Column row[k]'s polynomial at zr[k] + i*zi[k], rounded as CPython's complex Horner."""
+def _horner(c_hi: np.ndarray, row: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Column row[k]'s polynomial at z[k], rounded as CPython's complex Horner."""
+    zr, zi = z.real, z.imag
     ar = np.zeros_like(zr)
     ai = np.zeros_like(zr)
     for c in c_hi:
         ar, ai = ar * zr - ai * zi + c[row], ar * zi + ai * zr + 0.0
-    return ar, ai
-
-
-def _cdiv(ar, ai, br, bi):
-    """(ar + i*ai) / (br + i*bi) by Smith's method, rounding as numpy's complex division."""
-    big = np.abs(br) >= np.abs(bi)
-    rat = np.where(big, bi / br, br / bi)
-    scl = 1.0 / np.where(big, br + bi * rat, bi + br * rat)
-    qr = np.where(big, ar + ai * rat, ar * rat + ai) * scl
-    qi = np.where(big, ai - ar * rat, ai * rat - ar) * scl
-    return qr, qi
+    acc = np.empty_like(z)
+    acc.real, acc.imag = ar, ai
+    return acc

@@ -65,7 +65,7 @@ class TimeSeries:
 
 
 def sampled(grid_name: str, grid, **curves) -> list:
-    """``grid`` and each curve as float arrays, a None curve staying None.
+    """``grid`` and each curve as float arrays.
 
     ValueError unless the grid is 1-D, finite and strictly increasing and
     every curve has its length.
@@ -73,10 +73,9 @@ def sampled(grid_name: str, grid, **curves) -> list:
     grid = np.asarray(grid, dtype=float)
     out = [grid]
     for name, curve in curves.items():
-        if curve is not None:
-            curve = np.asarray(curve, dtype=float)
-            if curve.shape != grid.shape or grid.ndim != 1:
-                raise ValueError(f"{grid_name} and {name} must be 1-D arrays of equal length")
+        curve = np.asarray(curve, dtype=float)
+        if curve.shape != grid.shape or grid.ndim != 1:
+            raise ValueError(f"{grid_name} and {name} must be 1-D arrays of equal length")
         out.append(curve)
     if not (np.isfinite(grid).all() and np.all(np.diff(grid) > 0.0)):
         raise ValueError(f"{grid_name} grid must be strictly increasing")
@@ -172,7 +171,10 @@ def _sim_grid(t_end: float, dt: float, fastest: float):
         raise ValueError("dt must be smaller than t_end")
     if fastest * dt > FAST_POLE_PRODUCT_LIMIT:
         dt = REFINED_DT
-    return np.arange(int(round(t_end / dt)) + 1) * dt, dt
+    steps = t_end / dt
+    if not steps < np.inf:
+        raise ValueError("t_end / dt overflows: dt is too small for t_end")
+    return np.arange(int(round(steps)) + 1) * dt, dt
 
 
 def _iterate(step, z0: np.ndarray, size: int, flush) -> None:

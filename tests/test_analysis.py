@@ -48,11 +48,10 @@ class TestBode:
         k = 500
         assert curve.omega[k] == pytest.approx(1.0, rel=1e-12)
         assert curve.mag_db[k] == pytest.approx(-10.0 * math.log10(2.0), abs=1e-9)
-        assert curve.phase_deg[k] == pytest.approx(-45.0, abs=1e-9)
 
     def test_returns_float_arrays(self):
         curve = bode(LAG, 0.1, 10.0, 50)
-        for x in (curve.omega, curve.mag_db, curve.phase_deg):
+        for x in (curve.omega, curve.mag_db):
             assert isinstance(x, np.ndarray) and x.dtype == np.float64 and x.shape == (50,)
 
     def test_lengths_and_monotone_grid(self):
@@ -87,8 +86,6 @@ class TestBode:
             BodeCurve((1.0, 2.0), (0.0,))
         with pytest.raises(ValueError, match="increasing"):
             BodeCurve((1.0, 1.0), (0.0, 0.0))
-        with pytest.raises(ValueError, match="phase"):
-            BodeCurve((1.0, 2.0), (0.0, 0.0), phase_deg=(0.0,))
 
     @pytest.mark.parametrize("omega", [(1.0, math.nan, 3.0), (math.nan,), (1.0, 2.0, math.inf)])
     def test_curve_rejects_non_finite_omega(self, omega):

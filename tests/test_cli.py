@@ -306,6 +306,16 @@ class TestStep:
             assert "--t-end: must be positive and finite" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    def test_step_count_overflow_is_usage_error(self, capsys, tmp_path):
+        for command in ("step", "angle"):
+            rc, out, err = run(
+                capsys, command, "--pair", "b", "--t-end", "1e300", "--dt", "1e-10",
+                "--out", str(tmp_path),
+            )
+            assert rc == 2
+            assert err == "error: t_end / dt overflows: dt is too small for t_end\n"
+        assert not any(tmp_path.iterdir())
+
 
 class TestAngle:
     def test_angle_decays(self, capsys, tmp_path):

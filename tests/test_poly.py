@@ -385,23 +385,6 @@ def test_roots_triple_root_polish():
     np.testing.assert_allclose(r, [-1.0] * 3, atol=1e-5)
 
 
-def test_newton_division_rounds_as_numpy_complex_division():
-    # roots() polishes on separate real and imaginary float64 arrays; its
-    # division must keep the bits numpy's complex128 division gives
-    from pfclab.poly import _cdiv
-
-    rng = np.random.default_rng(5)
-    parts = rng.standard_normal((4, 20000)) * 10.0 ** rng.integers(-8, 9, (4, 20000))
-    qr, qi = _cdiv(*parts)
-    want = (parts[0] + 1j * parts[1]) / (parts[2] + 1j * parts[3])
-    assert qr.tobytes() == want.real.tobytes()
-    assert qi.tobytes() == want.imag.tobytes()
-    for k in range(0, 20000, 97):
-        x = np.complex128(complex(parts[0, k], parts[1, k]))
-        y = np.complex128(complex(parts[2, k], parts[3, k]))
-        assert complex(qr[k], qi[k]) == complex(x / y)
-
-
 def test_from_roots_rejects_unpaired_complex():
     with pytest.raises(ValueError):
         Polynomial.from_roots([1.0 + 2.0j])
@@ -601,8 +584,7 @@ def test_newton_lanes_give_each_row_its_own_bits(monkeypatch):
     raw = np.linalg.eigvals(_companions(rows[2:3]))
     assert np.count_nonzero(raw == -4.0) == 2
     dp = (np.arange(4, 0, -1) * rows[2, :0:-1])[:, None]
-    dr, di = _horner(dp, np.zeros(1, dtype=int), np.array([-4.0]), np.zeros(1))
-    assert dr[0] == di[0] == 0.0
+    assert _horner(dp, np.zeros(1, dtype=int), np.array([-4.0 + 0.0j]))[0] == 0.0
     assert np.count_nonzero(batch[2] == -4.0) == 2
     # each root polished as the scalar oracle polishes it alone
     polished = _polished_roots(rows)

@@ -161,6 +161,8 @@ class TestStepResponse:
         for t_end, dt in ((np.inf, 1e-3), (1.0, np.inf), (np.nan, 1e-3), (1.0, np.nan)):
             with pytest.raises(ValueError, match="positive and finite"):
                 step_response(tf, t_end=t_end, dt=dt)
+        with pytest.raises(ValueError, match="overflows"):
+            step_response(tf, t_end=1e300, dt=1e-10)
 
     @given(
         roots=st.lists(stable_root(re_max=-0.3), min_size=1, max_size=3, unique=True),
