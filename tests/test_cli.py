@@ -308,7 +308,7 @@ class TestStep:
 
     def test_step_count_overflow_is_usage_error(self, capsys, tmp_path):
         for command in ("step", "angle"):
-            rc, out, err = run(
+            rc, _, err = run(
                 capsys, command, "--pair", "b", "--t-end", "1e300", "--dt", "1e-10",
                 "--out", str(tmp_path),
             )
