@@ -141,7 +141,7 @@ def assert_products_are_convolutions(a, b):
         assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
-@pytest.mark.parametrize("rows", [(3, 3), (1, 3), (3, 1)])
+@pytest.mark.parametrize("rows", [(3, 3), (1, 3), (3, 1), (1, 1)])
 def test_products_of_every_length_round_as_np_convolve(rows):
     # lengths 1-20 on each side cross numpy's switch from its small-kernel
     # loop to its dot function at 12 and the 16-entry blocks of BLAS ddot
@@ -155,14 +155,14 @@ def test_products_of_every_length_round_as_np_convolve(rows):
 
 @st.composite
 def product_stacks(draw):
-    """Two stacks of random rows, either one possibly a single row, with
-    zero tails, -0.0, and entries whose products underflow or overflow."""
+    """Two stacks of random rows, either one or both possibly a single row,
+    with zero tails, -0.0, and entries whose products underflow or overflow."""
     m, k = draw(st.integers(1, 20)), draw(st.integers(1, 20))
     rows = draw(st.integers(2, 6))
-    single = draw(st.sampled_from([None, 0, 1]))
+    single = draw(st.sampled_from([(), (0,), (1,), (0, 1)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     a, b = (
-        rng.standard_normal((1 if single == i else rows, width))
+        rng.standard_normal((1 if i in single else rows, width))
         for i, width in enumerate((m, k))
     )
     for side, r, c, v in draw(st.lists(st.tuples(
