@@ -48,7 +48,7 @@ class BodeCurve:
     near_axis_pole: bool = False
 
     def __post_init__(self):
-        self.omega, self.mag_db = sampled("omega", self.omega, mag_db=self.mag_db)
+        self.omega, self.mag_db = sampled("omega", self.omega, "mag_db", self.mag_db)
 
     def to_csv(self, path) -> None:
         write_csv(path, "omega,mag_db", "%.17g,%.17g", np.column_stack([self.omega, self.mag_db]))

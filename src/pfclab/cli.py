@@ -41,7 +41,8 @@ from .modern import (
 )
 from .plant import PendulumParams, angle_plant, linear_plant, position_plant
 from .poly import Polynomial
-from .sim import NoiseSpec, angle_step_response, noise_time_response, step_response, write_csv
+from .sim import NoiseSpec, angle_step_response, noise_time_response, step_response, time_grid
+from .sim import write_csv
 from .synth import GaConfig, ObjectiveConfig, ga_search, verify_pair
 from .tf import CompensatorPair, RationalTF, closed_loop, loop_denominator
 from .tf import noise_channels, pip_check
@@ -256,7 +257,7 @@ def cmd_noise(args, G: RationalTF, pair: CompensatorPair) -> int:
     chans = noise_channels(G, pair.C, pair.P)
     interval = (args.freq_lo, args.freq_hi)
     spec = NoiseSpec(N=args.sines, amp_norm=args.amp, freq_interval=interval, seed=args.seed)
-    t = np.arange(0.0, args.t_end, args.dt)
+    t = time_grid(0.0, args.t_end, args.dt)
     series = noise_time_response(chans, spec, t)
     table = np.column_stack([t] + [s.y for s in series])
     fmt = ",".join(["%.17g"] * table.shape[1])

@@ -121,16 +121,11 @@ class Polynomial:
         out[: len(other.coeffs)] += other.coeffs
         return Polynomial(out)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "Polynomial":
         return Polynomial(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-_as_poly(other))
-
-    def __rsub__(self, other) -> "Polynomial":
-        return _as_poly(other) + (-self)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, float, np.integer, np.floating)):
@@ -347,12 +342,10 @@ def _newton(c: np.ndarray, raw: np.ndarray) -> np.ndarray:
 
     Each root takes Newton steps while its residual keeps dropping, at most
     NEWTON_STEPS.  The roots go into flat complex128 lanes, each with its
-    row's index and real-row flag, so a row gets the same bits alone or in
-    any batch: Horner rounds as CPython's complex arithmetic, and the step
-    is numpy's complex division.  A row whose eigenvalues are all real, as a
-    single eigenvalue call returns them, stays in real arithmetic.  A lane
-    leaves for good once its step stops improving, so each round steps only
-    the roots still live.
+    row's index, so a row gets the same bits alone or in any batch: Horner
+    rounds as CPython's complex arithmetic, and every lane steps by numpy's
+    complex division.  A lane leaves for good once its step stops
+    improving, so each round steps only the roots still live.
     """
     n = c.shape[1] - 1
     # highest degree first for Horner, one column per row; + 0.0 folds -0.0
@@ -360,8 +353,7 @@ def _newton(c: np.ndarray, raw: np.ndarray) -> np.ndarray:
     c_hi = (c[:, ::-1] + 0.0).T.copy()
     dc_hi = np.arange(n, 0, -1)[:, None] * c_hi[:n] + 0.0
     row = np.repeat(np.arange(len(c)), n)
-    real = np.all(raw.imag == 0.0, axis=1)[row]
-    z = np.where(real, raw.real.ravel(), raw.ravel()).astype(complex)
+    z = raw.ravel().astype(complex)
     out = z.copy()
     lane = np.arange(z.size)
     # a lane is judged only after its step, so a step that divides by zero
@@ -371,13 +363,11 @@ def _newton(c: np.ndarray, raw: np.ndarray) -> np.ndarray:
         # |p| as CPython's abs computes it; numpy's complex abs rounds otherwise
         f = np.hypot(p.real, p.imag)
         for _ in range(NEWTON_STEPS):
-            d = _horner(dc_hi, row, z)
-            # real rows divide in real arithmetic, as Python floats would
-            cand = z - np.where(real, p.real / d.real, p / d)
+            cand = z - p / _horner(dc_hi, row, z)
             pc = _horner(c_hi, row, cand)
             fc = np.hypot(pc.real, pc.imag)
             live = np.isfinite(fc) & ~(fc >= f)
-            lane, row, real, z, p, f = (x[live] for x in (lane, row, real, cand, pc, fc))
+            lane, row, z, p, f = (x[live] for x in (lane, row, cand, pc, fc))
             if not lane.size:
                 break
             out[lane] = z

@@ -58,28 +58,24 @@ class TimeSeries:
     y: np.ndarray
 
     def __post_init__(self):
-        self.t, self.y = sampled("t", self.t, y=self.y)
+        self.t, self.y = sampled("t", self.t, "y", self.y)
 
     def to_csv(self, path) -> None:
         write_csv(path, "t,y", "%.17g,%.17g", np.column_stack([self.t, self.y]))
 
 
-def sampled(grid_name: str, grid, **curves) -> list:
-    """``grid`` and each curve as float arrays.
+def sampled(grid_name: str, grid, curve_name: str, curve) -> tuple:
+    """``grid`` and ``curve`` as float arrays.
 
     ValueError unless the grid is 1-D, finite and strictly increasing and
-    every curve has its length.
+    the curve has its length.
     """
-    grid = np.asarray(grid, dtype=float)
-    out = [grid]
-    for name, curve in curves.items():
-        curve = np.asarray(curve, dtype=float)
-        if curve.shape != grid.shape or grid.ndim != 1:
-            raise ValueError(f"{grid_name} and {name} must be 1-D arrays of equal length")
-        out.append(curve)
+    grid, curve = np.asarray(grid, dtype=float), np.asarray(curve, dtype=float)
+    if curve.shape != grid.shape or grid.ndim != 1:
+        raise ValueError(f"{grid_name} and {curve_name} must be 1-D arrays of equal length")
     if not (np.isfinite(grid).all() and np.all(np.diff(grid) > 0.0)):
         raise ValueError(f"{grid_name} grid must be strictly increasing")
-    return out
+    return grid, curve
 
 
 def write_csv(path, header: str, fmt: str, rows) -> None:
@@ -162,19 +158,28 @@ def _fastest_pole(A: np.ndarray) -> float:
 def _sim_grid(t_end: float, dt: float, fastest: float):
     """(time grid, step) for an RK4 run.
 
-    The step drops to REFINED_DT when the fastest pole magnitude times the
-    requested step leaves the RK4 stability region.
+    The step drops to REFINED_DT, unless it is finer already, when the
+    fastest pole magnitude times the requested step leaves the RK4
+    stability region.
     """
     if not (0.0 < t_end < np.inf and 0.0 < dt < np.inf):
         raise ValueError("t_end and dt must be positive and finite")
     if dt >= t_end:
         raise ValueError("dt must be smaller than t_end")
     if fastest * dt > FAST_POLE_PRODUCT_LIMIT:
-        dt = REFINED_DT
+        dt = min(dt, REFINED_DT)
     steps = t_end / dt
     if not steps < np.inf:
         raise ValueError("t_end / dt overflows: dt is too small for t_end")
-    return np.arange(int(round(steps)) + 1) * dt, dt
+    return time_grid(int(round(steps)) + 1) * dt, dt
+
+
+def time_grid(*args) -> np.ndarray:
+    """``np.arange(*args)``; a grid numpy refuses to allocate is a ValueError."""
+    try:
+        return np.arange(*args)
+    except (MemoryError, ValueError):
+        raise ValueError("time grid too long to allocate: dt is too small for t_end") from None
 
 
 def _iterate(step, z0: np.ndarray, size: int, flush) -> None:

@@ -161,8 +161,7 @@ def objective_batch(rows, n: int, cfg: ObjectiveConfig) -> np.ndarray:
     n = int(n)
     rows = _checked_rows(rows, n)
     F = np.full(len(rows), LARGE)
-    live = np.flatnonzero((rows[:, 2 * n] != 0.0) & (rows[:, 4 * n + 1] != 0.0))
-    C, P = candidate_stacks(rows[live], n)
+    C, P = candidate_stacks(rows, n)
     den = loop_rows(tf_rows(cfg.plant), C, P)
     deg = 2 * n + cfg.plant.den.degree  # the loop degree unless leading terms cancel
     den_C, den_P = C[1], P[1]
@@ -173,17 +172,16 @@ def objective_batch(rows, n: int, cfg: ObjectiveConfig) -> np.ndarray:
         & monic_is_finite(den_C)
         & monic_is_finite(den_P)
     )
-    scored = live[ok]
     right = roots_stack(np.concatenate([den_C[ok], den_P[ok]])).real.max(axis=1)
-    right_C, right_P = right[: len(scored)], right[len(scored) :]
+    right_C, right_P = np.split(right, 2)
     z_H = roots_stack(den[ok, : deg + 1])
     p1 = np.where(right_P > right_C, right_P, right_C)  # max(right_C, right_P), NaN too
     p2 = z_H.real.max(axis=1)
     f0 = np.where(p1 >= 0.0, p2 + PENALTY * p1, p2)
     # numpy's dot function per row rounds as np.linalg.norm does; an axis-1 sum may not
-    q = rows[scored]
+    q = rows[ok]
     norm = np.sqrt(np.vecdot(q, q))
-    F[scored] = f0 + EPS1 * norm + EPS2 * np.abs(z_H).max(axis=1)
+    F[ok] = f0 + EPS1 * norm + EPS2 * np.abs(z_H).max(axis=1)
     return F
 
 

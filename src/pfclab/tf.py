@@ -197,17 +197,16 @@ def loop_rows(G, C, P) -> np.ndarray:
     G, C and P are (num, den) pairs of 2-D stacks of ascending coefficient
     rows, one row per loop; a stack of one row serves every loop, and any
     other row count must be the same in every stack (ValueError otherwise).
-    Each row is trimmed of its trailing zeros, and each loop's three
-    products d_C d_G d_P, n_C n_P d_G and n_C n_G d_P are associated left to
-    right and formed for all rows at once, a product of one-row stacks
-    staying one row.  They round as `np.convolve` and so as `Polynomial`
-    products do: with the shorter operand of length k as the kernel, the
-    k - 1 partial-overlap outputs at each end are fused BLAS dot chains, and
-    the full-overlap outputs plain left-to-right sums when k <= SMALL_KERNEL
-    and dot chains beyond (`_convolve`).  The products are summed over the
-    stacked rows.  Returns one row per loop, zero-padded to a common width;
-    a loop whose denominator vanishes comes back as a zero row, and nothing
-    is warned.
+    Each loop's three products d_C d_G d_P, n_C n_P d_G and n_C n_G d_P are
+    associated left to right and formed for all rows at once by `_product`,
+    each operand row read up to its last nonzero entry.  They round as
+    `np.convolve` and so as `Polynomial` products do: with the shorter
+    operand of length k as the kernel, the k - 1 partial-overlap outputs at
+    each end are fused BLAS dot chains, and the full-overlap outputs plain
+    left-to-right sums when k <= SMALL_KERNEL and dot chains beyond
+    (`_convolve`).  The products are summed over the stacked rows.  Returns
+    one row per loop, zero-padded to a common width; a loop whose
+    denominator vanishes comes back as a zero row, and nothing is warned.
     """
     # rows of unit stride: numpy's dot function hands BLAS the row stride,
     # and ddot rounds otherwise on strided rows
@@ -220,13 +219,13 @@ def loop_rows(G, C, P) -> np.ndarray:
             "stack needs one row or the same row count as the others"
         )
     loops = counts.pop() if counts else 1
-    ng, dg, nc, dc, npp, dp = ((x, trimmed_lengths(x)) for tf in tfs for x in tf)
+    (ng, dg), (nc, dc), (npp, dp) = tfs
     den = np.zeros((loops, width))
     # an overflowed product may hold inf or NaN, and the sum inf - inf;
     # callers refuse such a row as non-finite, so nothing need warn
     with np.errstate(over="ignore", invalid="ignore"):
         # ((0.0 + t1) + t2) + t3: the 0.0 folds -0.0 as Polynomial does
-        for prod, _ in (
+        for prod in (
             _product(_product(dc, dg), dp),
             _product(_product(nc, npp), dg),
             _product(_product(nc, ng), dp),
@@ -235,18 +234,16 @@ def loop_rows(G, C, P) -> np.ndarray:
     return den
 
 
-def _product(a, b):
-    """Row products of the trimmed stacks ``a`` and ``b``, trimmed again.
+def _product(x, y):
+    """Row products of the zero-padded stacks ``x`` and ``y``, zero-padded.
 
-    A trimmed stack is a pair (rows, lengths), row r holding the polynomial
-    ``rows[r, :lengths[r]]``; a stack of one row serves every row of the
-    other.  The rows of one pair of lengths take one `_convolve` call.  A
-    product of trimmed rows of lengths m and k has length m + k - 1: its
-    last entry is the product of the two leading coefficients, zero only on
-    an underflow or a zero operand, and only then is the product stack
-    trimmed as `Polynomial.__mul__` trims it.
+    Row r of a stack holds a polynomial up to its last nonzero entry
+    (`trimmed_lengths`); a stack of one row serves every row of the other.
+    The rows of one pair of lengths take one `_convolve` call on the
+    trimmed rows, so each product row holds the bits `Polynomial.__mul__`
+    gives, zero tail and all.
     """
-    (x, lx), (y, ly) = a, b
+    lx, ly = trimmed_lengths(x), trimmed_lengths(y)
     key = lx * (y.shape[1] + 1) + ly  # one key per pair of lengths
     out = np.zeros((len(key), x.shape[1] + y.shape[1] - 1))
     for g in set(key.tolist()):
@@ -256,9 +253,7 @@ def _product(a, b):
             x[:, :m] if len(x) == 1 else x[at, :m],
             y[:, :k] if len(y) == 1 else y[at, :k],
         )
-    lengths = lx + ly - 1
-    lead = out[np.arange(len(out)), lengths - 1]
-    return out, lengths if lead.all() else trimmed_lengths(out)
+    return out
 
 
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -274,8 +269,6 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     small-kernel loop up to SMALL_KERNEL, which array operations reproduce,
     and dot function calls beyond it.
     """
-    if len(a) == len(b) == 1:
-        return np.convolve(a[0], b[0])[None]
     if a.shape[1] < b.shape[1]:
         a, b = b, a
     m, k = a.shape[1], b.shape[1]

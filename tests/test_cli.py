@@ -316,6 +316,18 @@ class TestStep:
             assert err == "error: t_end / dt overflows: dt is too small for t_end\n"
         assert not any(tmp_path.iterdir())
 
+    def test_oversized_grid_is_usage_error(self, capsys, tmp_path):
+        # numpy refuses both grids at once; grids it would allocate stay untested
+        for command in ("step", "angle", "noise"):
+            for t_end in ("1e12", "1e300"):
+                rc, out, err = run(
+                    capsys, command, "--pair", "b", "--t-end", t_end, "--dt", "1e-3",
+                    "--out", str(tmp_path),
+                )
+                assert (rc, out) == (2, "")
+                assert err == "error: time grid too long to allocate: dt is too small for t_end\n"
+        assert not any(tmp_path.iterdir())
+
 
 class TestAngle:
     def test_angle_decays(self, capsys, tmp_path):

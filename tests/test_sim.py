@@ -163,6 +163,18 @@ class TestStepResponse:
                 step_response(tf, t_end=t_end, dt=dt)
         with pytest.raises(ValueError, match="overflows"):
             step_response(tf, t_end=1e300, dt=1e-10)
+        # numpy refuses both grids before allocating anything
+        for t_end in (1e12, 1e300):
+            with pytest.raises(ValueError, match="too long to allocate"):
+                step_response(tf, t_end=t_end, dt=1e-3)
+
+    def test_refinement_never_coarsens_a_finer_step(self):
+        # C's pole near -2098 puts 5e-5 past the limit, yet 5e-5 is finer than REFINED_DT
+        xs, ths = nonlinear_closed_loop(
+            PendulumParams(), PAIR_A.C, PAIR_A.P, 0.0, 0.01, t_end=0.01, dt=5e-5
+        )
+        assert xs.t[1] == ths.t[1] == 5e-5
+        assert len(xs.t) == 201
 
     @given(
         roots=st.lists(stable_root(re_max=-0.3), min_size=1, max_size=3, unique=True),

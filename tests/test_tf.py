@@ -128,7 +128,7 @@ def test_closed_loop_leading_cancellation_warns():
 def assert_products_are_convolutions(a, b):
     """`_product` of stacks ``a`` and ``b`` holds, row for row, the bits of
     `np.convolve` on the trimmed rows, trimmed again (NaN compares by place)."""
-    p, length = _product((a, trimmed_lengths(a)), (b, trimmed_lengths(b)))
+    length = trimmed_lengths(p := _product(a, b))
     assert len(p) == len(length) == max(len(a), len(b))
     for r, (row, n) in enumerate(zip(p, length)):
         x = trim_trailing_zeros(a[0 if len(a) == 1 else r])
