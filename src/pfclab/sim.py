@@ -34,9 +34,9 @@ from .plant import PendulumParams, StateSpace, linear_plant, nonlinear_derivativ
 from .poly import Polynomial
 from .tf import NoiseChannelSet, RationalTF, angular_closed_loop
 
-# explicit RK4 stability limit motivates the refinement rule in _sim_grid
+# largest |eigenvalue of the stepped matrix| * dt a run accepts; _sim_grid
+# shortens any step past it, keeping well inside RK4's stability region
 FAST_POLE_PRODUCT_LIMIT = 0.1
-REFINED_DT = 1e-4
 DIVERGENCE_BOUND = 1e6
 # states stepped between two flushes; the ring holds one more row, the carry
 CHUNK = 512
@@ -150,25 +150,23 @@ def _rk4_maps(A: np.ndarray, B: np.ndarray, h: float):
     return phi, gamma
 
 
-def _fastest_pole(A: np.ndarray) -> float:
-    """Largest eigenvalue magnitude of A; 0 for a system without states."""
-    return float(np.max(np.abs(np.linalg.eigvals(A)))) if A.size else 0.0
+def _sim_grid(t_end: float, dt: float, A: np.ndarray):
+    """(time grid, step) for an RK4 run that steps the state matrix A.
 
-
-def _sim_grid(t_end: float, dt: float, fastest: float):
-    """(time grid, step) for an RK4 run.
-
-    The step drops to REFINED_DT, unless it is finer already, when the
-    fastest pole magnitude times the requested step leaves the RK4
-    stability region.
+    When A's largest eigenvalue magnitude times dt exceeds
+    FAST_POLE_PRODUCT_LIMIT, the step becomes the longest one that divides
+    t_end into whole steps and keeps that product within the limit; it is
+    then shorter than the requested one.
     """
     if not (0.0 < t_end < np.inf and 0.0 < dt < np.inf):
         raise ValueError("t_end and dt must be positive and finite")
     if dt >= t_end:
         raise ValueError("dt must be smaller than t_end")
-    if fastest * dt > FAST_POLE_PRODUCT_LIMIT:
-        dt = min(dt, REFINED_DT)
+    fastest = float(np.max(np.abs(np.linalg.eigvals(A)), initial=0.0))
     steps = t_end / dt
+    if fastest * dt > FAST_POLE_PRODUCT_LIMIT:
+        steps = np.ceil(t_end * fastest / FAST_POLE_PRODUCT_LIMIT)
+        dt = t_end / steps
     if not steps < np.inf:
         raise ValueError("t_end / dt overflows: dt is too small for t_end")
     return time_grid(int(round(steps)) + 1) * dt, dt
@@ -220,12 +218,11 @@ def _affine_step(phi: np.ndarray, drive: np.ndarray):
 def step_response(tf: RationalTF, t_end: float = 60.0, dt: float = 1e-3) -> TimeSeries:
     """Unit-step response from zero initial state.
 
-    For a stable system y(t_end) approaches tf(0).  When the fastest pole
-    would leave the RK4 stability region at the requested step, the step is
-    refined automatically.
+    For a stable system y(t_end) approaches tf(0).  A pole too fast for the
+    requested step shortens it (see _sim_grid).
     """
     rz = realize(tf)
-    t, dt = _sim_grid(t_end, dt, _fastest_pole(rz.A))
+    t, dt = _sim_grid(t_end, dt, rz.A)
     y = np.empty(t.size)
     phi, gamma = _rk4_maps(rz.A, rz.B, dt)
     c_row = rz.C[0]
@@ -259,8 +256,7 @@ def angle_step_response(
 def _loop_model(params: PendulumParams, C: RationalTF, P: RationalTF):
     """The linear closed loop z' = A z + B r, z = (plant, C states, P states).
 
-    Returns (A, B, row_v, alpha, fastest): the cart force is v = row_v @ z +
-    alpha * r, and ``fastest`` is the largest pole magnitude of C and P.
+    Returns (A, B, row_v, alpha): the cart force is v = row_v @ z + alpha * r.
     """
     rc, rp = realize(C), realize(P)
     gain = 1.0 + rc.D * rp.D
@@ -289,9 +285,8 @@ def _loop_model(params: PendulumParams, C: RationalTF, P: RationalTF):
     for rows, blk, u in ((slice(0, 4), plant, row_v), (xc, rc, row_in), (xp, rp, row_v)):
         AB[rows, rows] = blk.A
         AB[rows] += blk.B @ u[None, :]
-    fastest = max(_fastest_pole(rc.A), _fastest_pole(rp.A))
     # contiguous copies keep the per-stage A @ z of the nonlinear run fast
-    return AB[:, :n].copy(), AB[:, n:].copy(), row_v[:n], row_v[n], fastest
+    return AB[:, :n].copy(), AB[:, n:].copy(), row_v[:n], row_v[n]
 
 
 def _run_loop(step, n: int, theta0: float, t: np.ndarray):
@@ -334,8 +329,8 @@ def nonlinear_closed_loop(
     path.  Initial state is upright-at-rest except for the given angle.
     Returns (cart position, pendulum angle).
     """
-    A, B, row_v, alpha, fastest = _loop_model(params, C, P)
-    t, dt = _sim_grid(t_end, dt, fastest)
+    A, B, row_v, alpha = _loop_model(params, C, P)
+    t, dt = _sim_grid(t_end, dt, A)
     drive = B[:, 0] * x_ref_step
     v_ref = alpha * x_ref_step
     n = A.shape[0]
@@ -380,8 +375,8 @@ def linear_closed_loop(
     Used to check that the linearized design story survives on the full
     model for small excursions.
     """
-    A, B, _, _, fastest = _loop_model(params, C, P)
-    t, dt = _sim_grid(t_end, dt, max(_fastest_pole(A), fastest))
+    A, B, _, _ = _loop_model(params, C, P)
+    t, dt = _sim_grid(t_end, dt, A)
     phi, gamma = _rk4_maps(A, B, dt)
     return _run_loop(_affine_step(phi, gamma[:, 0] * x_ref_step), A.shape[0], theta0, t)
 

@@ -15,7 +15,6 @@ from pfclab.sim import (
     NoiseSpec,
     TimeSeries,
     TrajectoryDiverged,
-    _fastest_pole,
     _loop_model,
     _rk4_maps,
     _sim_grid,
@@ -371,7 +370,7 @@ def reference_generation(rng, pop, fit, ga_cfg):
 def reference_step_response(tf: RationalTF, t_end: float = 60.0, dt: float = 1e-3) -> TimeSeries:
     """`sim.step_response` with each state a fresh ``phi @ x + u``."""
     rz = realize(tf)
-    t, dt = _sim_grid(t_end, dt, _fastest_pole(rz.A))
+    t, dt = _sim_grid(t_end, dt, rz.A)
     y = np.empty(t.size)
     phi, gamma = _rk4_maps(rz.A, rz.B, dt)
     u = gamma[:, 0]
@@ -402,8 +401,8 @@ def reference_nonlinear_closed_loop(
     params, C, P, x_ref_step, theta0, t_end=60.0, dt=1e-3
 ) -> tuple[TimeSeries, TimeSeries]:
     """`sim.nonlinear_closed_loop` with every RK4 stage and sum a fresh array."""
-    A, B, row_v, alpha, fastest = _loop_model(params, C, P)
-    t, dt = _sim_grid(t_end, dt, fastest)
+    A, B, row_v, alpha = _loop_model(params, C, P)
+    t, dt = _sim_grid(t_end, dt, A)
     drive = B[:, 0] * x_ref_step
     v_ref = alpha * x_ref_step
 
@@ -426,8 +425,8 @@ def reference_linear_closed_loop(
     params, C, P, x_ref_step, theta0, t_end=60.0, dt=1e-3
 ) -> tuple[TimeSeries, TimeSeries]:
     """`sim.linear_closed_loop` with each state a fresh ``phi @ z + drive``."""
-    A, B, _, _, fastest = _loop_model(params, C, P)
-    t, dt = _sim_grid(t_end, dt, max(_fastest_pole(A), fastest))
+    A, B, _, _ = _loop_model(params, C, P)
+    t, dt = _sim_grid(t_end, dt, A)
     phi, gamma = _rk4_maps(A, B, dt)
     drive = gamma[:, 0] * x_ref_step
     return _reference_run_loop(lambda z: phi @ z + drive, A.shape[0], theta0, t)

@@ -307,13 +307,15 @@ class TestStep:
         assert not any(tmp_path.iterdir())
 
     def test_step_count_overflow_is_usage_error(self, capsys, tmp_path):
+        # pair a at dt = 1 also trips the fast-pole rule, whose step count overflows
         for command in ("step", "angle"):
-            rc, _, err = run(
-                capsys, command, "--pair", "b", "--t-end", "1e300", "--dt", "1e-10",
-                "--out", str(tmp_path),
-            )
-            assert rc == 2
-            assert err == "error: t_end / dt overflows: dt is too small for t_end\n"
+            for pair, t_end, dt in (("b", "1e300", "1e-10"), ("a", "1e308", "1")):
+                rc, _, err = run(
+                    capsys, command, "--pair", pair, "--t-end", t_end, "--dt", dt,
+                    "--out", str(tmp_path),
+                )
+                assert rc == 2
+                assert err == "error: t_end / dt overflows: dt is too small for t_end\n"
         assert not any(tmp_path.iterdir())
 
     def test_oversized_grid_is_usage_error(self, capsys, tmp_path):

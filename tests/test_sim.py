@@ -10,6 +10,7 @@ from pfclab.poly import Polynomial
 from pfclab.sim import (
     CHUNK,
     DIVERGENCE_BOUND,
+    FAST_POLE_PRODUCT_LIMIT,
     NoiseSpec,
     TimeSeries,
     TrajectoryDiverged,
@@ -145,8 +146,12 @@ class TestStepResponse:
         assert 14.0 < factor < 18.0
 
     def test_fast_pole_triggers_refinement(self):
+        # pole -200 at dt = 1e-2 gives a product of 2; 1000 steps of 5e-4 give 0.1
         ts = step_response(RationalTF((200.0,), (200.0, 1.0)), t_end=0.5, dt=1e-2)
-        assert ts.t[1] - ts.t[0] == pytest.approx(1e-4)
+        dt = ts.t[1] - ts.t[0]
+        assert 200.0 * dt <= FAST_POLE_PRODUCT_LIMIT
+        assert ts.t.size == 1001
+        assert ts.t[-1] == pytest.approx(0.5, rel=1e-15)
 
     def test_slow_pole_keeps_requested_dt(self):
         ts = step_response(RationalTF((1.0,), (1.0, 1.0)), t_end=0.5, dt=1e-2)
@@ -163,18 +168,27 @@ class TestStepResponse:
                 step_response(tf, t_end=t_end, dt=dt)
         with pytest.raises(ValueError, match="overflows"):
             step_response(tf, t_end=1e300, dt=1e-10)
+        # a fast pole's whole-step count overflows too, without a warning
+        with pytest.raises(ValueError, match="overflows"):
+            step_response(RationalTF((200.0,), (200.0, 1.0)), t_end=1e308, dt=1.0)
         # numpy refuses both grids before allocating anything
         for t_end in (1e12, 1e300):
             with pytest.raises(ValueError, match="too long to allocate"):
                 step_response(tf, t_end=t_end, dt=1e-3)
 
     def test_refinement_never_coarsens_a_finer_step(self):
-        # C's pole near -2098 puts 5e-5 past the limit, yet 5e-5 is finer than REFINED_DT
-        xs, ths = nonlinear_closed_loop(
-            PendulumParams(), PAIR_A.C, PAIR_A.P, 0.0, 0.01, t_end=0.01, dt=5e-5
-        )
-        assert xs.t[1] == ths.t[1] == 5e-5
-        assert len(xs.t) == 201
+        # pole -2500 at 5e-5 gives a product of 0.125: the step shortens to 4e-5
+        ts = step_response(RationalTF((2500.0,), (2500.0, 1.0)), t_end=0.01, dt=5e-5)
+        assert ts.t.size == 251
+        assert ts.t[1] == pytest.approx(4e-5, rel=1e-15)
+        # pair a's loop (fastest mode 43.6) trips the limit at 2.5e-3 and
+        # shortens it to 0.01 / 5 = 2e-3; its open-loop C pole (-2097.6) is gone
+        A = _loop_model(PendulumParams(), PAIR_A.C, PAIR_A.P)[0]
+        assert 43.5 < np.max(np.abs(np.linalg.eigvals(A))) < 43.7
+        for run in (nonlinear_closed_loop, linear_closed_loop):
+            xs, ths = run(PendulumParams(), PAIR_A.C, PAIR_A.P, 0.0, 0.01, t_end=0.01, dt=2.5e-3)
+            assert xs.t[1] == ths.t[1] == 2e-3
+            assert len(xs.t) == 6
 
     @given(
         roots=st.lists(stable_root(re_max=-0.3), min_size=1, max_size=3, unique=True),
@@ -250,11 +264,12 @@ class TestNonlinearClosedLoop:
 
 # SHA-256 of the linear closed-loop (cart, angle) series with their time
 # grids, theta0=0.01 over 5 s, and of the 60 s position and angle step
-# responses; recorded when each simulation still assembled its own loop
+# responses; recorded when each simulation still assembled its own loop,
+# pair a's loop entries again when the step came from the loop matrix
 # (Python 3.11.7, numpy 2.4.6)
 LINEAR_LOOP_SHA256 = {
-    ("a", 0.0): "3b589be342a1a84aed998b85628163779f05d365d1b76069b713ebea2ef98dae",
-    ("a", 0.001): "47b2ef276a08684b6e4f08df0042fe446dc0f553554e006aeffa56fff077526d",
+    ("a", 0.0): "9d306020a5a679bb59e83eb63fc9c90b616d3c4202406a4e92e792d7884b9545",
+    ("a", 0.001): "0e97d1abc7019d0a0d4850b2d77609f59fffc98e59f50f7f477ec2530168df50",
     ("b", 0.0): "2cde182fd953b279707f790cdd8009f114c8748de136f047ebfa3dabf0f255fe",
     ("b", 0.001): "525bc38de31163bdb9abfd19e5a9bb5eff6fc72a14f60c3bda1a9730f87ff25f",
 }
@@ -263,15 +278,15 @@ STEP_RESPONSES_SHA256 = {
     "b": "a7317792172b9418d4b85365d473d22b0683641b7dbe734a9093f487e9d5d453",
 }
 # the same digest for the nonlinear run, and the exact divergence time of a
-# 3 rad start; recorded while each step still allocated its own arrays
-# (Python 3.11.7, numpy 2.4.6)
+# 3 rad start; recorded while each step still allocated its own arrays, pair
+# a's again when the step came from the loop matrix (Python 3.11.7, numpy 2.4.6)
 NONLINEAR_LOOP_SHA256 = {
-    ("a", 0.0): "4dfeda888d61099c25ce5a5bef989982c4b6bc1674b0d1bbb3430e0cfdc4ee85",
-    ("a", 0.001): "5e9135e1a6a2e580015f50bf2953b3e662406cc4a7dec0298a0c9d45fd37b817",
+    ("a", 0.0): "335989d02a3fda11f6ee78b3217dff459bf316c26f83aa48bc98359ba177d2de",
+    ("a", 0.001): "3dbd88c9a8ff0360b808580878610c372bd8086b1b388f7a7f22d2299ef62c9d",
     ("b", 0.0): "f04fbeff6996fe7cbe0b3cfb756c84c9744c4b87ee90d36c23dde6485eef1bfe",
     ("b", 0.001): "4834b856fd2d73dc9362ae9a8bea878d9c45a9ebc180d6d4e8c5caeba8da88a0",
 }
-DIVERGED_AT = {"a": 4.029100000000001, "b": 4.642}
+DIVERGED_AT = {"a": 4.03, "b": 4.642}
 
 STATIC = RationalTF((2.0,), (1.0,))
 
@@ -314,6 +329,20 @@ class TestLoopModel:
                 PendulumParams(), pair.C, pair.P, x_ref_step=0.0, theta0=3.0, t_end=60.0
             )
         assert exc.value.t_reached == DIVERGED_AT[pair.label]
+
+    def test_pair_a_default_step_matches_a_tenfold_finer_one(self):
+        # the loop's fastest mode (43.6) keeps pair a at dt = 1e-3; every
+        # tenth point of a 1e-4 run must agree with it
+        for run in (linear_closed_loop, nonlinear_closed_loop):
+            for r in (0.0, 0.001):
+                args = (PendulumParams(), PAIR_A.C, PAIR_A.P, r, 0.01)
+                coarse = run(*args, t_end=5.0)
+                fine = run(*args, t_end=5.0, dt=1e-4)
+                for c, f in zip(coarse, fine):
+                    assert c.t.size == 5001
+                    np.testing.assert_allclose(c.t, f.t[::10], rtol=0.0, atol=1e-12)
+                    scale = np.max(np.abs(f.y))
+                    assert np.max(np.abs(c.y - f.y[::10])) <= 1e-10 * scale, (run.__name__, r)
 
     @pytest.mark.parametrize("pair", [PAIR_A, PAIR_B], ids=["a", "b"])
     def test_reference_step_tracks_linear_twin(self, pair):
@@ -363,7 +392,7 @@ UNSTABLE = (STATIC, 0.25 * STATIC)  # static feedback cannot hold the pendulum u
 
 def _unstable_peaks(points, dt):
     """Running maximum of |z_k| for the linear run of UNSTABLE from theta0 = 1."""
-    A, B, _, _, _ = _loop_model(PendulumParams(), *UNSTABLE)
+    A, B, _, _ = _loop_model(PendulumParams(), *UNSTABLE)
     phi, _ = _rk4_maps(A, B, dt)
     z = np.zeros(A.shape[0])
     z[1] = 1.0
@@ -419,7 +448,7 @@ class TestInPlaceStepping:
         # the run is linear in theta0: this start crosses the bound at step k
         theta0 = DIVERGENCE_BOUND / np.sqrt(peaks[k - 1] * peaks[k])
         args = (PendulumParams(), *UNSTABLE, 0.0, theta0)
-        t = _sim_grid(t_end, dt, 0.0)[0]
+        t = _sim_grid(t_end, dt, _loop_model(*args[:3])[0])[0]
         for run in (linear_closed_loop, reference_linear_closed_loop):
             with pytest.raises(TrajectoryDiverged) as exc:
                 run(*args, t_end=t_end, dt=dt)
