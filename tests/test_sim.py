@@ -182,7 +182,7 @@ class TestStepResponse:
         assert ts.t.size == 251
         assert ts.t[1] == pytest.approx(4e-5, rel=1e-15)
         # pair a's loop (fastest mode 43.6) trips the limit at 2.5e-3 and
-        # shortens it to 0.01 / 5 = 2e-3; its open-loop C pole (-2097.6) is gone
+        # shortens it to 0.01 / 5 = 2e-3
         A = _loop_model(PendulumParams(), PAIR_A.C, PAIR_A.P)[0]
         assert 43.5 < np.max(np.abs(np.linalg.eigvals(A))) < 43.7
         for run in (nonlinear_closed_loop, linear_closed_loop):
