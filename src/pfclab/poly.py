@@ -28,10 +28,6 @@ HURWITZ_MARGIN = 1e-4
 # clustered roots improve linearly.
 NEWTON_STEPS = 12
 
-# Rows per Newton block in `roots_stack`: a block's temporaries stay near a
-# megabyte at degree 10, whatever the batch size.
-NEWTON_ROWS = 256
-
 
 @dataclass(frozen=True)
 class Polynomial:
@@ -327,14 +323,13 @@ def _snap_real(z: np.ndarray) -> np.ndarray:
 
 
 def _polished_roots(c: np.ndarray) -> np.ndarray:
-    """Polished eigenvalues of the companion matrices of rows ``c`` (a0 != 0)."""
+    """Polished eigenvalues of the companion matrices of rows ``c`` (a0 != 0).
+
+    One Newton pass over the whole group: its temporaries grow with the
+    group, about 0.6 KB per degree-10 row.
+    """
     c = c / c[:, -1:]
-    raw = np.linalg.eigvals(_companions(c))
-    # polished in blocks of rows, which bounds the temporaries
-    return np.concatenate([
-        _newton(c[k : k + NEWTON_ROWS], raw[k : k + NEWTON_ROWS])
-        for k in range(0, len(c), NEWTON_ROWS)
-    ])
+    return _newton(c, np.linalg.eigvals(_companions(c)))
 
 
 def _newton(c: np.ndarray, raw: np.ndarray) -> np.ndarray:

@@ -158,6 +158,7 @@ def _sim_grid(t_end: float, dt: float, A: np.ndarray):
     t_end into whole steps and keeps that product within the limit; it is
     then shorter than the requested one.
     """
+    t_end, dt = float(t_end), float(dt)
     if not (0.0 < t_end < np.inf and 0.0 < dt < np.inf):
         raise ValueError("t_end and dt must be positive and finite")
     if dt >= t_end:

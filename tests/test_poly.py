@@ -626,15 +626,15 @@ def random_root_rows(rng, degree, count):
 
 def test_polished_roots_match_the_scalar_oracle_row_by_row():
     # every root of a random stack, polished in lanes, has the bits the
-    # scalar oracle gives it with its row polished alone; degree 4 spans
-    # more than one Newton block
+    # scalar oracle gives it with its row polished alone; degree 10 holds
+    # the 1000 rows a Monte Carlo study polishes in one pass
     from pfclab import poly
     from pfclab.poly import _companions, _polished_roots
 
     rng = np.random.default_rng(11)
     origin = flat = 0
     for degree in range(2, 11):
-        c = random_root_rows(rng, degree, poly.NEWTON_ROWS + 44 if degree == 4 else 40)
+        c = random_root_rows(rng, degree, 1000 if degree == 10 else 40)
         for row, z in zip(c, _polished_roots(c)):
             monic = row / row[-1]
             raw = np.linalg.eigvals(_companions(monic[None]))[0]

@@ -171,6 +171,11 @@ class TestStepResponse:
         # a fast pole's whole-step count overflows too, without a warning
         with pytest.raises(ValueError, match="overflows"):
             step_response(RationalTF((200.0,), (200.0, 1.0)), t_end=1e308, dt=1.0)
+        # numpy-scalar inputs overflow into the same error, without a warning
+        with pytest.raises(ValueError, match="overflows"):
+            step_response(RationalTF((200.0,), (200.0, 1.0)), t_end=np.float64(1e308), dt=1.0)
+        with pytest.raises(ValueError, match="overflows"):
+            step_response(tf, t_end=np.float64(1e300), dt=1e-10)
         # numpy refuses both grids before allocating anything
         for t_end in (1e12, 1e300):
             with pytest.raises(ValueError, match="too long to allocate"):
