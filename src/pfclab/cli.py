@@ -9,8 +9,9 @@ module, lists the flag groups each command takes.
 
 Exit codes: 0 all checks passed or data written, 1 an analysis reached a
 negative verdict (verification failed, no stabilizing pair found, unstable
-loop), 2 bad usage, unreadable input, unwritable output, or a search that
-overflows (init_range too wide, mutation_scale too large).
+loop), 2 bad usage, unreadable input, unwritable output, a search that
+overflows (init_range too wide, mutation_scale too large), or a count too
+large to allocate.
 """
 
 from __future__ import annotations
@@ -240,7 +241,7 @@ def cmd_bode(args, G: RationalTF, pair: CompensatorPair | None) -> int:
     elif args.channel == "h":
         tf = closed_loop(G, pair.C, pair.P)
     else:
-        tf = noise_channels(G, pair.C, pair.P).channels[int(args.channel[1:]) - 1]
+        tf = noise_channels(G, pair.C, pair.P)[int(args.channel[1:]) - 1]
     curve = bode_curve(tf, args.w_min, args.w_max, args.points)
     k = int(np.argmax(curve.mag_db))
     lines = [f"grid peak {curve.mag_db[k]:.4f} dB at omega = {curve.omega[k]:.6g}"]
@@ -459,8 +460,8 @@ def main(argv=None) -> int:
             print("error: the closed loop is unstable", file=sys.stderr)
             return 1
         return args.run(args, G, pair)
-    except (UsageError, ValueError) as e:
-        # bad flags, unreadable input, or a library-level rejection of them
+    except (UsageError, ValueError, MemoryError) as e:
+        # bad flags, unreadable input, a library-level rejection, or a count numpy refuses
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -219,7 +219,7 @@ class EquivalentCompensator:
     proper: bool
     stable: bool
     plant_cancellations: tuple[complex, ...]
-    rhp_cancellation: bool
+    rhp_cancellation: bool  # a shared root in the closed right half plane
 
 
 def _numerator_ratio(Q: RationalTF, G: RationalTF) -> float | None:
@@ -244,7 +244,7 @@ def _verdict(reduced: RationalTF, G: RationalTF) -> EquivalentCompensator:
         proper=reduced.is_proper,
         stable=reduced.is_zero or reduced.is_stable(),
         plant_cancellations=shared,
-        rhp_cancellation=any(r.real > 1e-7 for r in shared),
+        rhp_cancellation=any(r.real >= 0.0 for r in shared),
     )
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .plant import PendulumParams, StateSpace, linear_plant, nonlinear_derivatives
 from .poly import Polynomial
-from .tf import NoiseChannelSet, RationalTF, angular_closed_loop
+from .tf import RationalTF, angular_closed_loop
 
 # largest |eigenvalue of the stepped matrix| * dt a run accepts; _sim_grid
 # shortens any step past it, keeping well inside RK4's stability region
@@ -388,7 +388,7 @@ def linear_closed_loop(
 
 
 def noise_time_response(
-    channels: NoiseChannelSet, spec: NoiseSpec, t_grid
+    channels: tuple[RationalTF, ...], spec: NoiseSpec, t_grid
 ) -> list[TimeSeries]:
     """Sum-of-sinusoids steady-state response of each noise channel.
 
@@ -397,7 +397,7 @@ def noise_time_response(
     [0, 2pi); draw order is frequencies, amplitudes, phases.  The grid must
     be uniform: each point within 1e-12 max|t| of t[0] + j h, h the mean step.
     """
-    if not channels.common_den.is_hurwitz():
+    if not all(d.is_hurwitz() for d in {ch.den for ch in channels}):
         raise ValueError("noise response undefined for unstable channel")
     t = np.asarray(t_grid, dtype=float)
     T = t.size
@@ -418,7 +418,7 @@ def noise_time_response(
     V = np.exp(1j * np.multiply.outer(omega, t[:B]))  # (N, B)
     rot = c * np.exp(1j * phase)
     sums: dict = {}  # equal channels (e5 is e4) share one product
-    for ch in channels.channels:
+    for ch in channels:
         if ch not in sums:
             sums[ch] = (U @ (V * (rot * ch(1j * omega))[:, None])).imag.reshape(-1)[:T]
-    return [TimeSeries(t=t, y=sums[ch].copy()) for ch in channels.channels]
+    return [TimeSeries(t=t, y=sums[ch].copy()) for ch in channels]

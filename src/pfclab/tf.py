@@ -367,23 +367,15 @@ def pip_check(G: RationalTF) -> StabilizabilityVerdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NoiseChannelSet:
+def noise_channels(G: RationalTF, C: RationalTF, P: RationalTF) -> tuple[RationalTF, ...]:
     """Transfer functions from the six loop injection points to the output.
 
     Injection points, one per signal node of the loop: e1 at the reference
     summing junction, e2 at the plant input (actuator noise), e3 at the
     plant output (sensor noise), e4 at the feedforward branch output, e5 at
     the augmented-measurement junction, e6 at the feedback compensator
-    output.  All six share one denominator by construction.
+    output.  All six share one loop denominator object.
     """
-
-    channels: tuple[RationalTF, ...]
-    common_den: Polynomial
-
-
-def noise_channels(G: RationalTF, C: RationalTF, P: RationalTF) -> NoiseChannelSet:
-    """Six additive-noise transfer functions over the common loop denominator."""
     den = loop_denominator(G, C, P)
     inner = C.den * P.den + C.num * P.num  # 1 + C*P cleared of fractions
     e1 = G.num * C.den * P.den
@@ -392,5 +384,4 @@ def noise_channels(G: RationalTF, C: RationalTF, P: RationalTF) -> NoiseChannelS
     e4 = -1.0 * (C.num * G.num * P.den)
     e5 = e4
     e6 = -1.0 * e1
-    chans = tuple(RationalTF(n, den) for n in (e1, e2, e3, e4, e5, e6))
-    return NoiseChannelSet(channels=chans, common_den=den)
+    return tuple(RationalTF(n, den) for n in (e1, e2, e3, e4, e5, e6))

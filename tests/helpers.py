@@ -28,7 +28,7 @@ from pfclab.synth import (
     decode,
     objective_batch,
 )
-from pfclab.tf import NoiseChannelSet, RationalTF
+from pfclab.tf import RationalTF
 
 
 def stable_root(re_max=-0.05):
@@ -433,10 +433,10 @@ def reference_linear_closed_loop(
 
 
 def reference_noise_time_response(
-    channels: NoiseChannelSet, spec: NoiseSpec, t_grid
+    channels: tuple[RationalTF, ...], spec: NoiseSpec, t_grid
 ) -> list[TimeSeries]:
     """`sim.noise_time_response` as a sine table per channel, refilled in blocks of sines."""
-    if not channels.common_den.is_hurwitz():
+    if not all(ch.den.is_hurwitz() for ch in channels):
         raise ValueError("noise response undefined for unstable channel")
     t = np.asarray(t_grid, dtype=float)
     rng = np.random.default_rng(spec.seed)
@@ -452,7 +452,7 @@ def reference_noise_time_response(
     buf = np.empty(t.size * block)  # one (t.size, block) sine table, refilled per block
     out = []
     sums: dict = {}
-    for ch in channels.channels:
+    for ch in channels:
         if ch in sums:  # equal channels (e5 is e4) share one sine sum
             out.append(TimeSeries(t=t, y=sums[ch].copy()))
             continue

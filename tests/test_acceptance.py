@@ -73,7 +73,7 @@ def _check(failures, cond, msg):
 
 def _max_channel_peak(plant, C, P):
     best_db, best_w = -math.inf, math.nan
-    for ch in noise_channels(plant, C, P).channels:
+    for ch in noise_channels(plant, C, P):
         w, db = peak_gain(ch)
         if db > best_db:
             best_db, best_w = db, w

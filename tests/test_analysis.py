@@ -146,7 +146,7 @@ class TestPeakGain:
 
 def max_channel_peak(G, C, P):
     best_db, best_w = -math.inf, math.nan
-    for ch in noise_channels(G, C, P).channels:
+    for ch in noise_channels(G, C, P):
         w, db = peak_gain(ch)
         if db > best_db:
             best_db, best_w = db, w

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, files, determinism."""
 
 import argparse
+import ast
 import hashlib
 import json
 import os
@@ -542,6 +543,22 @@ class TestOutputDir:
         assert rc == 0
         assert not (tmp_path / "never").exists()
 
+    def test_unallocatable_count_is_usage_error(self, capsys, tmp_path):
+        # 1e15 entries pass the 128 TiB address space, so numpy refuses them
+        # under any overcommit setting; smaller counts might be allocated
+        huge = "1000000000000000"
+        for argv in (
+            ["bode", "--pair", "b", "--points", huge],
+            ["robustness", "--pair", "b", "--trials", huge],
+            ["fragility", "--pair", "b", "--trials", huge],
+            ["noise", "--pair", "b", "--sines", huge],
+            ["synthesize", "--n", "1", "--population", huge, "--generations", "0"],
+        ):
+            rc, out, err = run(capsys, *argv, "--out", str(tmp_path))
+            assert (rc, out) == (2, ""), argv
+            assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1, err
+        assert not any(tmp_path.iterdir())
+
 
 # ---------------------------------------------------------------------------
 # option table
@@ -676,3 +693,28 @@ def test_reproduce_artifacts_pinned(tmp_path):
         h.update(data + b"\0")
     h.update(proc.stdout.replace(str(tmp_path), "<out>").encode())
     assert h.hexdigest() == REPRODUCE_SHA256
+
+
+def test_benchmark_runs_the_reproduce_command_list():
+    # pfcbench's reproduce workload runs reproduce_all.py --skip-search with
+    # its Monte Carlo commands seeded; both lists are read, not imported
+    script = ast.parse((REPO / "scripts" / "reproduce_all.py").read_text())
+    calls = sorted(
+        (node for node in ast.walk(script)
+         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "run"),
+        key=lambda node: node.lineno,
+    )
+    script_list = [
+        (ast.literal_eval(node.args[1]), ast.literal_eval(node.args[2])) for node in calls
+    ]
+    bench = ast.parse((REPO / "pfcbench" / "workloads.py").read_text())
+    (commands,) = (
+        node.value for node in bench.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "COMMANDS"
+    )
+    bench_list = [
+        (name, [a for a in argv if a not in ("--seed", "{seed}")])
+        for name, argv in ast.literal_eval(commands)
+    ]
+    assert [c for c in script_list if c[0] != "search_n3_seed0"] == bench_list
+    assert len(script_list) == len(bench_list) + 1

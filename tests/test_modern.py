@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from pfclab.modern import (
     GainMatrices,
+    _verdict,
     combined_system,
     common_factors,
     controllability_matrix,
@@ -320,3 +321,10 @@ class TestEquivalentCompensators:
         q, _, _ = pendulum_q()
         kb = equivalent_Kb(q, position_plant())
         assert kb.rhp_cancellation
+
+    def test_cancellation_at_the_origin_is_flagged(self):
+        # s^2 in the numerator cancels the plant's double pole at the origin,
+        # which lies in the closed right half plane as pip_check counts it
+        v = _verdict(RationalTF((0.0, 0.0, 1.0), (1.0, 1.0)), position_plant())
+        assert sorted(v.plant_cancellations, key=abs)[:2] == [0.0, 0.0]
+        assert v.rhp_cancellation

@@ -24,7 +24,7 @@ from pfclab.sim import (
     _rk4_maps,
     _sim_grid,
 )
-from pfclab.tf import NoiseChannelSet, RationalTF, angular_closed_loop, closed_loop, noise_channels
+from pfclab.tf import RationalTF, angular_closed_loop, closed_loop, noise_channels
 
 from helpers import (
     array_digest,
@@ -498,7 +498,7 @@ class TestNoiseTimeResponse:
         spec = NoiseSpec(N=1, amp_norm=0.01, freq_interval=(1.0, 1.0), seed=3)
         t = np.arange(0.0, 50.0, 1e-3)
         out = noise_time_response(CHANNELS_B, spec, t)
-        for num, ts in zip(CHANNELS_B.channels, out):
+        for num, ts in zip(CHANNELS_B, out):
             want = 0.01 * abs(num(1j))
             assert np.max(np.abs(ts.y)) == pytest.approx(want, rel=1e-4)
 
@@ -511,7 +511,7 @@ class TestNoiseTimeResponse:
         c *= 0.05 / np.linalg.norm(c)
         ph = rng.uniform(0.0, 2.0 * np.pi, 2)
         out = noise_time_response(CHANNELS_B, spec, t)
-        for num, ts in zip(CHANNELS_B.channels, out):
+        for num, ts in zip(CHANNELS_B, out):
             g = num(1j * w)
             want = sum(
                 c[k] * np.abs(g[k]) * np.sin(w[k] * t + np.angle(g[k]) + ph[k])
@@ -530,18 +530,18 @@ class TestNoiseTimeResponse:
 
     def test_repeated_channel_is_an_equal_copy(self):
         # channels 4 and 5 are one transfer function: one sine sum, two arrays
-        assert CHANNELS_B.channels[3] == CHANNELS_B.channels[4]
+        assert CHANNELS_B[3] == CHANNELS_B[4]
         out = noise_time_response(CHANNELS_B, NoiseSpec(N=32, seed=4), np.linspace(0, 5, 60))
         assert out[4].y.tobytes() == out[3].y.tobytes()
         assert not np.shares_memory(out[3].y, out[4].y)
 
     def test_unstable_channel_rejected(self):
-        bad = NoiseChannelSet(
-            channels=tuple(Polynomial((1.0,)) for _ in range(6)),
-            common_den=Polynomial((-1.0, 1.0)),
-        )
-        with pytest.raises(ValueError, match="noise response undefined"):
-            noise_time_response(bad, NoiseSpec(N=4), [0.0, 1.0])
+        # one channel with its pole at s = 1 among five stable ones
+        for k in range(6):
+            bad = [RationalTF((1.0,), (1.0, 1.0))] * 6
+            bad[k] = RationalTF((1.0,), (-1.0, 1.0))
+            with pytest.raises(ValueError, match="noise response undefined"):
+                noise_time_response(tuple(bad), NoiseSpec(N=4), [0.0, 1.0])
 
     def test_default_spec_output_magnitude(self):
         # channel 2 peaks near 30 dB, so 0.01-norm excitation lands near 0.3
