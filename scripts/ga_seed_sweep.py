@@ -21,8 +21,8 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=3, help="compensator order")
     ap.add_argument("--seeds", type=int, default=10, help="number of seeds (0..N-1)")
-    ap.add_argument("--population", type=int, default=200)
-    ap.add_argument("--generations", type=int, default=500)
+    ap.add_argument("--population", type=int, default=GaConfig.population)
+    ap.add_argument("--generations", type=int, default=GaConfig.generations)
     ap.add_argument("--out", default="sweep.csv", help="summary CSV path")
     args = ap.parse_args()
 

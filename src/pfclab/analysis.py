@@ -63,7 +63,9 @@ def bode(
     """Sample 20*log10|tf(i*omega)| on a log-spaced grid.
 
     A pole within one grid step of the evaluated axis segment sets
-    near_axis_pole; the curve itself is still the pointwise truth.
+    near_axis_pole; the curve itself is still the pointwise truth.  Where
+    tf(i*omega) leaves the range of doubles (inf or nan), the magnitude is
+    summed in logs from the leading coefficients and each zero and pole.
     """
     if not w_min > 0.0:
         raise ValueError("w_min must be positive")
@@ -72,9 +74,16 @@ def bode(
     if n_points < 2:
         raise ValueError("need at least two grid points")
     omega = np.logspace(math.log10(w_min), math.log10(w_max), n_points)
-    vals = tf(1j * omega)
-    with np.errstate(divide="ignore"):
-        mag_db = 20.0 * np.log10(np.abs(vals))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mag_db = 20.0 * np.log10(np.abs(tf(1j * omega)))
+        bad = ~np.isfinite(mag_db)
+        if bad.any():
+            s = 1j * omega[bad, None]
+            mag_db[bad] = 20.0 * (
+                np.log10(abs(tf.num.leading / tf.den.leading))
+                + np.log10(np.abs(s - tf.zeros())).sum(axis=1)
+                - np.log10(np.abs(s - tf.poles())).sum(axis=1)
+            )
 
     # relative grid step; a pole at sigma + i*w with |sigma| below one step
     # of |w| makes the sampled curve spike without ever hitting infinity

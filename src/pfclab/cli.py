@@ -105,17 +105,17 @@ def _load_pair(args) -> CompensatorPair | None:
         ) from None
 
 
-def _emit(args, echo: tuple, files: dict, *lines: str, code: int = 0, **known) -> int:
+def _emit(args, files: dict, *lines: str, code: int = 0) -> int:
     """Write files (name -> writer of that path) and the metadata into the
     output directory, print lines, report the first file.  The metadata's
-    config records the values named in echo, taken from known, else from args."""
+    config is every flag the command parsed, keyed by its argparse dest,
+    except --out, a path that would make reruns of one command differ."""
     out = Path(args.out if args.out is not None else os.environ.get(OUT_ENV, "."))
-    values = {**vars(args), **known}
     meta = {
         "command": args.command,
         "version": __version__,
         "seed": getattr(args, "seed", 0),
-        "config": {name: values[name] for name in echo},
+        "config": {k: v for k, v in vars(args).items() if k not in ("command", "out")},
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     first = next(iter(files))
@@ -130,18 +130,16 @@ def _emit(args, echo: tuple, files: dict, *lines: str, code: int = 0, **known) -
     return code
 
 
-def _emit_mc(args, echo: tuple, rep, pair: CompensatorPair) -> int:
-    """_emit for a Monte Carlo report: JSON, pole cloud, verdict; echo gains trials, sigma."""
+def _emit_mc(args, rep) -> int:
+    """_emit for a Monte Carlo report: JSON, pole cloud, verdict."""
     return _emit(
         args,
-        (*echo, "trials", "sigma"),
         {
             f"{args.command}.json": lambda p: p.write_text(rep.to_json() + "\n"),
             f"{args.command}_cloud.csv": rep.cloud_to_csv,
         },
         f"{rep.unstable_count} of {rep.trials} trials unstable "
         f"(sigma={rep.sigma:g}, seed={rep.seed})",
-        pair=pair.label,
     )
 
 
@@ -204,14 +202,12 @@ def cmd_synthesize(args, plant: RationalTF, _pair) -> int:
         lines.append(f"independent verification: {'PASS' if audited.passed else 'FAIL'}")
     return _emit(
         args,
-        ("n", "ga"),
         {
             "synthesis.json": lambda p: p.write_text(res.to_json() + "\n"),
             "synthesis_history.csv": res.history_to_csv,
         },
         *lines,
         code=0 if res.success else 1,
-        ga=ga.to_json_dict(),
     )
 
 
@@ -220,8 +216,7 @@ def cmd_step(args, G: RationalTF, pair: CompensatorPair) -> int:
     H = closed_loop(G, pair.C, pair.P)
     ts = step_response(H, t_end=args.t_end, dt=args.dt)
     line = f"final value {ts.y[-1]:.6f} (DC gain {H(0.0):.6f})"
-    echo = ("plant", "pair", "t_end", "dt")
-    return _emit(args, echo, {"step.csv": ts.to_csv}, line, pair=pair.label)
+    return _emit(args, {"step.csv": ts.to_csv}, line)
 
 
 def cmd_angle(args, G: RationalTF, pair: CompensatorPair) -> int:
@@ -230,8 +225,7 @@ def cmd_angle(args, G: RationalTF, pair: CompensatorPair) -> int:
     ts = angle_step_response(F, G, pair.C, pair.P, t_end=args.t_end, dt=args.dt)
     tail = ts.y[ts.t > 0.8 * ts.t[-1]]
     line = f"peak |angle| {np.abs(ts.y).max():.6g}, tail max {np.abs(tail).max():.3e}"
-    echo = ("pair", "mass", "t_end", "dt")
-    return _emit(args, echo, {"angle.csv": ts.to_csv}, line, pair=pair.label)
+    return _emit(args, {"angle.csv": ts.to_csv}, line)
 
 
 def cmd_bode(args, G: RationalTF, pair: CompensatorPair | None) -> int:
@@ -247,8 +241,7 @@ def cmd_bode(args, G: RationalTF, pair: CompensatorPair | None) -> int:
     lines = [f"grid peak {curve.mag_db[k]:.4f} dB at omega = {curve.omega[k]:.6g}"]
     if curve.near_axis_pole:
         lines.append("note: pole near the evaluated imaginary axis, magnitudes spike")
-    echo = ("plant", "channel", "w_min", "w_max", "points")
-    return _emit(args, echo, {"bode.csv": curve.to_csv}, *lines)
+    return _emit(args, {"bode.csv": curve.to_csv}, *lines)
 
 
 def cmd_noise(args, G: RationalTF, pair: CompensatorPair) -> int:
@@ -265,13 +258,8 @@ def cmd_noise(args, G: RationalTF, pair: CompensatorPair) -> int:
     peaks = ", ".join(f"e{k}={np.abs(s.y).max():.4g}" for k, s in enumerate(series, 1))
     return _emit(
         args,
-        ("plant", "pair", "sines", "amp", "freq_interval", "t_end", "dt"),
-        {
-            "noise.csv": lambda p: write_csv(p, "t,e1,e2,e3,e4,e5,e6", fmt, table)
-        },
+        {"noise.csv": lambda p: write_csv(p, "t,e1,e2,e3,e4,e5,e6", fmt, table)},
         f"per-channel peak |y|: {peaks}",
-        pair=pair.label,
-        freq_interval=list(interval),
     )
 
 
@@ -280,15 +268,13 @@ def cmd_robustness(args, _G, pair: CompensatorPair) -> int:
     rep = robustness_mc(
         pair.C, pair.P, M=args.mass, trials=args.trials, sigma=args.sigma, seed=args.seed
     )
-    return _emit_mc(args, ("pair", "mass"), rep, pair)
+    return _emit_mc(args, rep)
 
 
 def cmd_fragility(args, G: RationalTF, pair: CompensatorPair) -> int:
     """compensator-perturbation Monte Carlo"""
-    rep = fragility_mc(
-        G, pair.C, pair.P, trials=args.trials, sigma=args.sigma, seed=args.seed
-    )
-    return _emit_mc(args, ("plant", "pair"), rep, pair)
+    rep = fragility_mc(G, pair.C, pair.P, trials=args.trials, sigma=args.sigma, seed=args.seed)
+    return _emit_mc(args, rep)
 
 
 def cmd_modern(args, G: RationalTF, _pair) -> int:
@@ -388,13 +374,13 @@ WRITES = _output(f"output directory (default: ${OUT_ENV} or current directory)")
 PRINTS = _output("accepted so one command line serves every command; this command writes no files")
 ORDER = _flags(("--n", dict(type=_positive_int, required=True, help="compensator order")))
 GA = _flags(
-    ("--population", dict(type=_positive_int, default=200)),
-    ("--generations", dict(type=_unsigned_int, default=500)),
-    ("--crossover-rate", dict(type=float, default=0.9)),
-    ("--mutation-rate", dict(type=float, default=0.1)),
-    ("--mutation-scale", dict(type=float, default=0.2)),
-    ("--elitism", dict(type=_unsigned_int, default=2)),
-    ("--init-range", dict(type=float, nargs=2, default=(-12.0, 12.0))),
+    ("--population", dict(type=_positive_int, default=GaConfig.population)),
+    ("--generations", dict(type=_unsigned_int, default=GaConfig.generations)),
+    ("--crossover-rate", dict(type=float, default=GaConfig.crossover_rate)),
+    ("--mutation-rate", dict(type=float, default=GaConfig.mutation_rate)),
+    ("--mutation-scale", dict(type=float, default=GaConfig.mutation_scale)),
+    ("--elitism", dict(type=_unsigned_int, default=GaConfig.elitism)),
+    ("--init-range", dict(type=float, nargs=2, default=GaConfig.init_range)),
 )
 CHANNELS = ["h", "plant", "e1", "e2", "e3", "e4", "e5", "e6"]
 BODE = _flags(
@@ -441,17 +427,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (run, groups, pair_use) in COMMANDS.items():
-        p = sub.add_parser(name, help=run.__doc__, parents=groups)
-        p.set_defaults(run=run, pair_use=pair_use)
+    for name, (run, groups, _) in COMMANDS.items():
+        sub.add_parser(name, help=run.__doc__, parents=groups)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    run, _, use = COMMANDS[args.command]
     try:
         # a Bode plot of the bare plant takes no pair
-        use = None if getattr(args, "channel", None) == "plant" else args.pair_use
+        use = None if getattr(args, "channel", None) == "plant" else use
         pair = _load_pair(args) if use else None
         if use in ("needed", "loop") and pair is None:
             raise UsageError(f"{args.command} needs --pair or --pair-file")
@@ -459,7 +445,7 @@ def main(argv=None) -> int:
         if use == "loop" and not loop_denominator(G, pair.C, pair.P).is_hurwitz():
             print("error: the closed loop is unstable", file=sys.stderr)
             return 1
-        return args.run(args, G, pair)
+        return run(args, G, pair)
     except (UsageError, ValueError, MemoryError) as e:
         # bad flags, unreadable input, a library-level rejection, or a count numpy refuses
         print(f"error: {e}", file=sys.stderr)

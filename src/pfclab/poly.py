@@ -162,13 +162,15 @@ class Polynomial:
     def roots(self) -> np.ndarray:
         """All complex roots, with multiplicity, sorted by (real, imag).
 
-        The one-row case of `roots_rows`: exact zero roots are split off
+        The one-row case of `roots_stack`: exact zero roots are split off
         first, so a plant with a double pole at the origin reports them as
         exactly 0, and the rest are polished companion-matrix eigenvalues.
         """
+        if self.is_zero:
+            raise ValueError("undefined roots: the zero polynomial")
         if self.degree == 0:
             raise ValueError("a nonzero constant has no roots")
-        return roots_rows(np.array([self.coeffs]))[0][0]
+        return roots_stack(np.array([self.coeffs]))[0]
 
     def is_hurwitz(self) -> bool:
         """True iff every root lies strictly in the open left half plane.

@@ -14,6 +14,8 @@ import pytest
 
 from pfclab.cli import build_parser, main
 from pfclab.designs import PAIR_B
+from pfclab.plant import position_plant
+from pfclab.tf import closed_loop
 
 
 def run(capsys, *argv):
@@ -376,6 +378,35 @@ class TestBode:
         assert rc == 0
         assert "note: pole near the evaluated imaginary axis" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--pair", "b", "--w-min", "1", "--w-max", "1e40"],
+            ["--channel", "plant", "--w-min", "1e-300", "--w-max", "1e300"],
+        ],
+        ids=["h-past-overflow", "plant-both-ends"],
+    )
+    def test_grid_past_the_range_of_doubles(self, capsys, tmp_path, argv):
+        # tf(i*omega) overflows or underflows there; every magnitude must
+        # still be |tf(i*omega)| itself, here evaluated in 60 digits
+        mpmath = pytest.importorskip("mpmath")
+        rc, out, _ = run(capsys, "bode", *argv, "--points", "5", "--out", str(tmp_path))
+        assert rc == 0
+        omega, mag_db = np.loadtxt(tmp_path / "bode.csv", delimiter=",", skiprows=1).T
+        assert np.all(np.isfinite(mag_db))
+        G = position_plant()
+        tf = G if "plant" in argv else closed_loop(G, PAIR_B.C, PAIR_B.P)
+        for w, db in zip(omega, mag_db):
+            with mpmath.workdps(60):
+                s = mpmath.mpc(0, w)
+                num, den = (
+                    mpmath.polyval([mpmath.mpf(c) for c in reversed(p.coeffs)], s)
+                    for p in (tf.num, tf.den)
+                )
+                exact = float(20 * mpmath.log10(abs(num / den)))
+            assert abs(db - exact) < 1e-9, w
+        assert f"grid peak {mag_db.max():.4f} dB" in out
+
 
 class TestNoise:
     def test_writes_six_channels(self, capsys, tmp_path):
@@ -561,6 +592,34 @@ class TestOutputDir:
 
 
 # ---------------------------------------------------------------------------
+# run metadata
+# ---------------------------------------------------------------------------
+
+# one short run of each command that writes files; among them step's --mass
+# sets the plant and bode's --pair the loop, so both must be recorded
+WRITING_ARGVS = [
+    ["synthesize", "--n", "2", "--population", "10", "--generations", "1", "--mass", "0.31"],
+    ["step", "--pair", "b", "--t-end", "1", "--mass", "0.31"],
+    ["angle", "--pair", "b", "--t-end", "1"],
+    ["bode", "--pair", "b", "--points", "3"],
+    ["noise", "--pair", "b", "--t-end", "2", "--dt", "0.5", "--sines", "3"],
+    ["robustness", "--pair", "a", "--trials", "3", "--seed", "4"],
+    ["fragility", "--pair", "b", "--trials", "3", "--mass", "0.31"],
+]
+
+
+@pytest.mark.parametrize("argv", WRITING_ARGVS, ids=lambda argv: argv[0])
+def test_metadata_config_is_every_parsed_flag(capsys, tmp_path, argv):
+    # every flag by its argparse dest; --out is left out so reruns match
+    rc, _, _ = run(capsys, *argv, "--out", str(tmp_path))
+    assert rc in (0, 1)  # the short search finds no pair and says so
+    (path,) = tmp_path.glob("*_metadata.json")
+    parsed = vars(build_parser().parse_args(argv))
+    expected = {k: v for k, v in parsed.items() if k not in ("command", "out")}
+    assert load_meta(path)["config"] == json.loads(json.dumps(expected))
+
+
+# ---------------------------------------------------------------------------
 # option table
 # ---------------------------------------------------------------------------
 
@@ -667,7 +726,11 @@ REPRODUCE_FILES = [
 # clouds otherwise.  Re-recorded when the noise response became a factored
 # complex product: only noise_b/noise.csv changed, each cell within 1.7e-14
 # of the sine-table sum, the time column and the other 23 files unchanged.
-REPRODUCE_SHA256 = "c201ec07c6bab23e5bd92a6087bcd61d0f38e9d0ae606123daed112336407d4d"
+# Re-recorded when each metadata config became every parsed flag: only the
+# config objects of the ten metadata files changed (mass, pair, pair_file,
+# seed and plant added where missing, freq_interval split into freq_lo and
+# freq_hi); every data file and the stdout are byte-identical.
+REPRODUCE_SHA256 = "e4b84a90836be6ac6e98e311e8985e55af16a7a6793badade2c33378a935559e"
 
 
 def test_reproduce_artifacts_pinned(tmp_path):
