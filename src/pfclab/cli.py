@@ -157,7 +157,7 @@ def _matrix_str(m: np.ndarray) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify(args, G: RationalTF, pair: CompensatorPair | None) -> int:
+def cmd_verify(args, G: RationalTF, pair: CompensatorPair | None, _den) -> int:
     """audit a compensator pair against a plant; writes no files"""
     verdict = pip_check(G)
     word = ("" if verdict.strongly_stabilizable else "not ") + "strongly stabilizable"
@@ -186,7 +186,7 @@ def cmd_verify(args, G: RationalTF, pair: CompensatorPair | None) -> int:
     return 0 if rep.passed else 1
 
 
-def cmd_synthesize(args, plant: RationalTF, _pair) -> int:
+def cmd_synthesize(args, plant: RationalTF, _pair, _den) -> int:
     """search for a stabilizing stable pair"""
     knobs = {f.name: getattr(args, f.name) for f in fields(GaConfig)}
     ga = GaConfig(**knobs | {"init_range": tuple(args.init_range)})
@@ -211,7 +211,7 @@ def cmd_synthesize(args, plant: RationalTF, _pair) -> int:
     )
 
 
-def cmd_step(args, G: RationalTF, pair: CompensatorPair) -> int:
+def cmd_step(args, G: RationalTF, pair: CompensatorPair, _den) -> int:
     """closed-loop unit step response to CSV"""
     H = closed_loop(G, pair.C, pair.P)
     ts = step_response(H, t_end=args.t_end, dt=args.dt)
@@ -219,7 +219,7 @@ def cmd_step(args, G: RationalTF, pair: CompensatorPair) -> int:
     return _emit(args, {"step.csv": ts.to_csv}, line)
 
 
-def cmd_angle(args, G: RationalTF, pair: CompensatorPair) -> int:
+def cmd_angle(args, G: RationalTF, pair: CompensatorPair, _den) -> int:
     """pendulum angle response to CSV"""
     F = angle_plant(args.mass)
     ts = angle_step_response(F, G, pair.C, pair.P, t_end=args.t_end, dt=args.dt)
@@ -228,14 +228,14 @@ def cmd_angle(args, G: RationalTF, pair: CompensatorPair) -> int:
     return _emit(args, {"angle.csv": ts.to_csv}, line)
 
 
-def cmd_bode(args, G: RationalTF, pair: CompensatorPair | None) -> int:
+def cmd_bode(args, G: RationalTF, pair: CompensatorPair | None, den) -> int:
     """magnitude samples to CSV"""
     if args.channel == "plant":
         tf = G
     elif args.channel == "h":
         tf = closed_loop(G, pair.C, pair.P)
     else:
-        tf = noise_channels(G, pair.C, pair.P)[int(args.channel[1:]) - 1]
+        tf = noise_channels(G, pair.C, pair.P, den)[int(args.channel[1:]) - 1]
     curve = bode_curve(tf, args.w_min, args.w_max, args.points)
     k = int(np.argmax(curve.mag_db))
     lines = [f"grid peak {curve.mag_db[k]:.4f} dB at omega = {curve.omega[k]:.6g}"]
@@ -244,11 +244,11 @@ def cmd_bode(args, G: RationalTF, pair: CompensatorPair | None) -> int:
     return _emit(args, {"bode.csv": curve.to_csv}, *lines)
 
 
-def cmd_noise(args, G: RationalTF, pair: CompensatorPair) -> int:
+def cmd_noise(args, G: RationalTF, pair: CompensatorPair, den: Polynomial) -> int:
     """multi-sine noise response of all channels"""
     if args.dt >= args.t_end:
         raise UsageError("dt must be smaller than t_end")
-    chans = noise_channels(G, pair.C, pair.P)
+    chans = noise_channels(G, pair.C, pair.P, den)
     interval = (args.freq_lo, args.freq_hi)
     spec = NoiseSpec(N=args.sines, amp_norm=args.amp, freq_interval=interval, seed=args.seed)
     t = time_grid(0.0, args.t_end, args.dt)
@@ -263,7 +263,7 @@ def cmd_noise(args, G: RationalTF, pair: CompensatorPair) -> int:
     )
 
 
-def cmd_robustness(args, _G, pair: CompensatorPair) -> int:
+def cmd_robustness(args, _G, pair: CompensatorPair, _den) -> int:
     """plant-perturbation Monte Carlo"""
     rep = robustness_mc(
         pair.C, pair.P, M=args.mass, trials=args.trials, sigma=args.sigma, seed=args.seed
@@ -271,13 +271,13 @@ def cmd_robustness(args, _G, pair: CompensatorPair) -> int:
     return _emit_mc(args, rep)
 
 
-def cmd_fragility(args, G: RationalTF, pair: CompensatorPair) -> int:
+def cmd_fragility(args, G: RationalTF, pair: CompensatorPair, _den) -> int:
     """compensator-perturbation Monte Carlo"""
     rep = fragility_mc(G, pair.C, pair.P, trials=args.trials, sigma=args.sigma, seed=args.seed)
     return _emit_mc(args, rep)
 
 
-def cmd_modern(args, G: RationalTF, _pair) -> int:
+def cmd_modern(args, G: RationalTF, _pair, _den) -> int:
     """observer-based design walkthrough with verdicts; writes no files"""
     ss = linear_plant(PendulumParams(M=args.mass))
     ctrl = controllability_matrix(ss)
@@ -406,7 +406,9 @@ MC = _flags(
 # name: (handler, whose docstring is the help line; flag groups; pair use).
 # A pair use of "optional" loads --pair or --pair-file when given, "needed"
 # requires one, and "loop" also has main exit 1, before the handler writes
-# anything, when the pair's loop with the plant is unstable.
+# anything, when the pair's loop with the plant is unstable.  Each handler
+# takes (args, plant, pair, den), den the loop denominator main gated on, or
+# None for the other pair uses.
 COMMANDS = {
     "verify": (cmd_verify, [PLANT, PAIR, PRINTS], "optional"),
     "synthesize": (cmd_synthesize, [ORDER, SEED, GA, PLANT, WRITES], None),
@@ -442,10 +444,11 @@ def main(argv=None) -> int:
         if use in ("needed", "loop") and pair is None:
             raise UsageError(f"{args.command} needs --pair or --pair-file")
         G = _load_plant(args) if "plant" in args else None
-        if use == "loop" and not loop_denominator(G, pair.C, pair.P).is_hurwitz():
+        den = loop_denominator(G, pair.C, pair.P) if use == "loop" else None
+        if den is not None and not den.is_hurwitz():
             print("error: the closed loop is unstable", file=sys.stderr)
             return 1
-        return run(args, G, pair)
+        return run(args, G, pair, den)
     except (UsageError, ValueError, MemoryError) as e:
         # bad flags, unreadable input, a library-level rejection, or a count numpy refuses
         print(f"error: {e}", file=sys.stderr)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -178,8 +179,12 @@ class Polynomial:
         Decided exactly, by a Routh array on the coefficients as rationals,
         so a root on the imaginary axis is never rounded into stability.  A
         nonzero constant is vacuously Hurwitz; the zero polynomial is an
-        error.
+        error.  The verdict is kept on the object, which runs the array once.
         """
+        return self._routh_verdict
+
+    @cached_property
+    def _routh_verdict(self) -> bool:
         if self.is_zero:
             raise ValueError("stability undefined for the zero polynomial")
         desc = [Fraction(c) for c in reversed(self.coeffs)]

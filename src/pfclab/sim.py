@@ -9,13 +9,21 @@ those maps; the nonlinear run evaluates it with the standard four-stage
 scheme after replacing the four plant rows with the full cart-pendulum
 dynamics.
 
-Every run steps its states in place: each step is one gemv (``phi.dot(z,
-out=next)``) or RK4 stage written into a ring of CHUNK + 1 state rows, with
-the same operations in the same order as the allocating expressions, so
-the outputs are the same bits.  Each full ring is flushed at once: the
-step response takes one dot product per row, and the closed loops record
-their rows after a divergence check per block that still reports the
-first step past DIVERGENCE_BOUND.
+A step response has a constant input, so its RK4 step is the affine map
+z -> phi z + gamma, and j steps are z -> phi^j z + S_j with S_j = sum_{i<j}
+phi^i gamma.  It builds [phi^j | S_j] for j = 1 .. CHUNK once, one product
+per power (see _affine_powers), then takes each block of CHUNK states as
+one gemv on (z, 1), its outputs as one vecdot, and carries the last state
+into the next block.  These outputs are not the per-step bits: on the
+shipped pairs' 60 s responses they lie nearer the recursion carried in
+np.longdouble than those do.
+
+The closed loops step their states in place: each step is one gemv
+(``phi.dot(z, out=next)``) or RK4 stage written into a ring of CHUNK + 1
+state rows, with the same operations in the same order as the allocating
+expressions, so the outputs are the same bits.  Each full ring is flushed
+at once, after a divergence check per block that still reports the first
+step past DIVERGENCE_BOUND.
 
 The multi-sine noise response needs a grid uniform to 1e-12 max|t| and is
 a factored complex sum.  With B = ceil(sqrt(T)), sample qB + r of channel
@@ -38,7 +46,8 @@ from .tf import RationalTF, angular_closed_loop
 # shortens any step past it, keeping well inside RK4's stability region
 FAST_POLE_PRODUCT_LIMIT = 0.1
 DIVERGENCE_BOUND = 1e6
-# states stepped between two flushes; the ring holds one more row, the carry
+# states per block: stepped between two flushes of a closed loop's ring,
+# which holds one more row, the carry, or taken by a step response's one gemv
 CHUNK = 512
 # CSV rows formatted per write by write_csv
 CSV_BLOCK = 4096
@@ -216,6 +225,23 @@ def _affine_step(phi: np.ndarray, drive: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
+def _affine_powers(phi: np.ndarray, drive: np.ndarray, count: int) -> np.ndarray:
+    """[phi^j | S_j] for j = 1 .. count, stacked, with S_j = sum_{i<j} phi^i drive.
+
+    The affine step z -> phi @ z + drive, applied j times, is z -> phi^j @ z
+    + S_j.  Each entry is phi times the one before, plus drive in the last
+    column, as the per-step recursion applies phi: doubling the powers
+    instead rounds several times more on the non-normal companion matrices.
+    """
+    n = drive.size
+    powers = np.empty((count, n, n + 1))
+    powers[0, :, :n], powers[0, :, n] = phi, drive
+    for prev, nxt in zip(powers, powers[1:]):
+        np.matmul(phi, prev, out=nxt)
+        nxt[:, n] += drive
+    return powers
+
+
 def step_response(tf: RationalTF, t_end: float = 60.0, dt: float = 1e-3) -> TimeSeries:
     """Unit-step response from zero initial state.
 
@@ -224,16 +250,19 @@ def step_response(tf: RationalTF, t_end: float = 60.0, dt: float = 1e-3) -> Time
     """
     rz = realize(tf)
     t, dt = _sim_grid(t_end, dt, rz.A)
-    y = np.empty(t.size)
     phi, gamma = _rk4_maps(rz.A, rz.B, dt)
-    c_row = rz.C[0]
+    n, c_row = rz.order, rz.C[0]
+    # rows j n .. (j + 1) n - 1 take (z, 1) to the state j + 1 steps after z
+    ahead = _affine_powers(phi, gamma[:, 0], min(CHUNK, t.size - 1)).reshape(-1, n + 1)
+    y = np.empty(t.size)
     y[0] = rz.D
-
-    def flush(lo, block):
-        # one ddot per row, as c_row @ x
-        y[lo : lo + len(block)] = np.vecdot(block, c_row) + rz.D
-
-    _iterate(_affine_step(phi, gamma[:, 0]), np.zeros(rz.order), t.size, flush)
+    z = np.zeros(n + 1)  # the last state written, then 1
+    z[n] = 1.0
+    for lo in range(1, t.size, CHUNK):
+        m = min(CHUNK, t.size - lo)
+        block = (ahead[: m * n] @ z).reshape(m, n)
+        y[lo : lo + m] = np.vecdot(block, c_row) + rz.D
+        z[:n] = block[-1]
     return TimeSeries(t=t, y=y)
 
 

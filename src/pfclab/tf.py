@@ -367,16 +367,19 @@ def pip_check(G: RationalTF) -> StabilizabilityVerdict:
 # ---------------------------------------------------------------------------
 
 
-def noise_channels(G: RationalTF, C: RationalTF, P: RationalTF) -> tuple[RationalTF, ...]:
+def noise_channels(
+    G: RationalTF, C: RationalTF, P: RationalTF, den: Polynomial | None = None
+) -> tuple[RationalTF, ...]:
     """Transfer functions from the six loop injection points to the output.
 
     Injection points, one per signal node of the loop: e1 at the reference
     summing junction, e2 at the plant input (actuator noise), e3 at the
     plant output (sensor noise), e4 at the feedforward branch output, e5 at
     the augmented-measurement junction, e6 at the feedback compensator
-    output.  All six share one loop denominator object.
+    output.  All six share one loop denominator object: ``den`` when the
+    caller has formed ``loop_denominator(G, C, P)`` already, else a new one.
     """
-    den = loop_denominator(G, C, P)
+    den = loop_denominator(G, C, P) if den is None else den
     inner = C.den * P.den + C.num * P.num  # 1 + C*P cleared of fractions
     e1 = G.num * C.den * P.den
     e2 = G.num * inner

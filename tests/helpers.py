@@ -383,6 +383,27 @@ def reference_step_response(tf: RationalTF, t_end: float = 60.0, dt: float = 1e-
     return TimeSeries(t=t, y=y)
 
 
+def longdouble_step_response(tf: RationalTF, t_end: float = 60.0, dt: float = 1e-3) -> np.ndarray:
+    """The outputs of `reference_step_response`'s recursion, on the same float64
+    phi and gamma, carried in np.longdouble: the step responses' accuracy oracle."""
+    rz = realize(tf)
+    t, dt = _sim_grid(t_end, dt, rz.A)
+    phi, gamma = _rk4_maps(rz.A, rz.B, dt)
+    phi, u, c_row = (a.astype(np.longdouble) for a in (phi, gamma[:, 0], rz.C[0]))
+    x = np.zeros(rz.order, dtype=np.longdouble)
+    y = np.empty(t.size, dtype=np.longdouble)
+    y[0] = rz.D
+    for k in range(1, t.size):
+        x = phi @ x + u
+        y[k] = c_row @ x + rz.D
+    return y
+
+
+def gap_to_peak(y, exact) -> float:
+    """max |y - exact| over max |exact|."""
+    return float(np.max(np.abs(y - exact)) / np.max(np.abs(exact)))
+
+
 def _reference_run_loop(step, n: int, theta0: float, t: np.ndarray):
     """`sim._run_loop` with the divergence test after every step."""
     z = np.zeros(n)

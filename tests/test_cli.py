@@ -12,9 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pfclab import cli, tf
 from pfclab.cli import build_parser, main
 from pfclab.designs import PAIR_B
 from pfclab.plant import position_plant
+from pfclab.poly import Polynomial
 from pfclab.tf import closed_loop
 
 
@@ -435,6 +437,25 @@ class TestNoise:
             assert err == "error: dt must be smaller than t_end\n"
         assert not any(tmp_path.iterdir())
 
+    def test_loop_formed_and_routh_tested_once(self, capsys, tmp_path, monkeypatch):
+        # the gate's denominator is the channels' one, its verdict kept on it
+        formed, tested = [], []
+        form, verdict = tf.loop_denominator, Polynomial.__dict__["_routh_verdict"]
+        test = verdict.func
+
+        def counted_form(*loop):
+            formed.append(loop)
+            return form(*loop)
+
+        for module in (cli, tf):
+            monkeypatch.setattr(module, "loop_denominator", counted_form)
+        monkeypatch.setattr(verdict, "func", lambda p: tested.append(p) or test(p))
+        argv = ("--pair", "b", "--sines", "8", "--t-end", "1", "--out", str(tmp_path))
+        rc, _, _ = run(capsys, "noise", *argv)
+        assert rc == 0
+        assert len(formed) == 1
+        assert len(tested) == 1
+
     def test_unstable_loop_is_analysis_failure(self, capsys, tmp_path):
         broken = write_pair_file(
             tmp_path / "broken.json", [1.0], [-1.0, 1.0], [0.0], [1.0]
@@ -729,8 +750,11 @@ REPRODUCE_FILES = [
 # Re-recorded when each metadata config became every parsed flag: only the
 # config objects of the ten metadata files changed (mass, pair, pair_file,
 # seed and plant added where missing, freq_interval split into freq_lo and
-# freq_hi); every data file and the stdout are byte-identical.
-REPRODUCE_SHA256 = "e4b84a90836be6ac6e98e311e8985e55af16a7a6793badade2c33378a935559e"
+# freq_hi); every data file and the stdout are byte-identical.  Re-recorded
+# when step responses stepped blocks of precomputed RK4 powers: only the y
+# columns of step_a/step.csv, step_b/step.csv and angle_b/angle.csv changed,
+# each within 1.1e-13 of its peak; the other 21 files and stdout unchanged.
+REPRODUCE_SHA256 = "a69b3185b6c25d60edbc13a8cac3e6f563de2e1e9ed23e2f1ad53a25e5c37d72"
 
 
 def test_reproduce_artifacts_pinned(tmp_path):
