@@ -228,7 +228,7 @@ def cmd_angle(args, G: RationalTF, pair: CompensatorPair, _den) -> int:
     return _emit(args, {"angle.csv": ts.to_csv}, line)
 
 
-def cmd_bode(args, G: RationalTF, pair: CompensatorPair | None, den) -> int:
+def cmd_bode(args, G: RationalTF, pair: CompensatorPair | None, den: Polynomial | None) -> int:
     """magnitude samples to CSV"""
     if args.channel == "plant":
         tf = G

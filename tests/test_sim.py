@@ -274,7 +274,7 @@ class TestNonlinearClosedLoop:
 # responses; recorded when each simulation still assembled its own loop,
 # pair a's loop entries again when the step came from the loop matrix
 # (Python 3.11.7, numpy 2.4.6).  The step responses re-recorded when they
-# stepped blocks of precomputed RK4 powers: each point within 1.1e-13 of its
+# stepped blocks of precomputed RK4 powers: each point within 1.6e-13 of its
 # peak of the per-step values, and nearer the np.longdouble recursion
 LINEAR_LOOP_SHA256 = {
     ("a", 0.0): "9d306020a5a679bb59e83eb63fc9c90b616d3c4202406a4e92e792d7884b9545",
@@ -304,7 +304,7 @@ STATIC = RationalTF((2.0,), (1.0,))
 # lands 0.8-1.6e-13 off on the 60 s responses of pairs a and b
 STEP_ORACLE_BOUND = 5e-14
 # the same share on random stable systems, 2001 points at dt = 1e-2; 6000
-# draws reached 1.2e-13, where the float64 recursion was at 1.2e-14
+# draws reached 1.2e-13, where the float64 recursion was at 2.2e-14
 RANDOM_STEP_ORACLE_BOUND = 1e-12
 LONGDOUBLE = np.finfo(np.longdouble).nmant >= 63  # x87 extended, not a float64 alias
 
